@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
                     srl::Table::Num(o.max_acquire_us, 1)});
     }
     for (int patience : {4, 64}) {
-      srl::FairListRangeLock lock(
-          srl::FairListRangeLock::Options{.inner = {}, .patience = patience});
+      srl::FairListRangeLock lock(srl::FairListRangeLock::Options{.patience = patience});
       const auto o = srl::Run(lock, t, secs);
       table.AddRow({"fair (patience " + std::to_string(patience) + ")",
                     std::to_string(t), srl::Table::Num(o.ops_per_sec, 0),

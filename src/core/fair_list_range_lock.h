@@ -31,7 +31,6 @@ namespace srl {
 class FairListRangeLock {
  public:
   struct Options {
-    ListRangeLock::Options inner;
     // Lock-induced failures (lost CASes / restarts) tolerated before going impatient.
     int patience = 16;
   };
@@ -40,7 +39,7 @@ class FairListRangeLock {
 
   FairListRangeLock() : FairListRangeLock(Options{}) {}
   explicit FairListRangeLock(Options options)
-      : inner_(options.inner), patience_(options.patience) {}
+      : patience_(options.patience) {}
 
   Handle Lock(const Range& range) {
     Handle h = nullptr;
@@ -89,7 +88,6 @@ class FairListRangeLock {
 class FairListRwRangeLock {
  public:
   struct Options {
-    ListRwRangeLock::Options inner;
     int patience = 16;
   };
 
@@ -97,7 +95,7 @@ class FairListRwRangeLock {
 
   FairListRwRangeLock() : FairListRwRangeLock(Options{}) {}
   explicit FairListRwRangeLock(Options options)
-      : inner_(options.inner), patience_(options.patience) {}
+      : patience_(options.patience) {}
 
   Handle LockRead(const Range& range) { return LockImpl(range, /*reader=*/true); }
   Handle LockWrite(const Range& range) { return LockImpl(range, /*reader=*/false); }

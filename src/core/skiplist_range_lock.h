@@ -51,17 +51,15 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
-#include "src/core/lnode.h"  // kMarkBit / IsMarked / Unmark word helpers
+#include "src/core/harris_list.h"  // WaitForRelease
+#include "src/core/lnode.h"        // kMarkBit / IsMarked / Unmark word helpers
 #include "src/core/range.h"
 #include "src/epoch/epoch_domain.h"
 #include "src/epoch/node_pool.h"
 #include "src/harness/prng.h"
 #include "src/sync/admission.h"
 #include "src/sync/deadline.h"
-#include "src/sync/pause.h"
-#include "src/sync/spin_wait.h"
 
 namespace srl {
 
@@ -237,8 +235,6 @@ class SkiplistRangeLock {
     return reinterpret_cast<uintptr_t>(node);
   }
 
-  enum class WaitResult { kReleased, kRestart, kTimedOut };
-
   // Positions preds[l]/succ_words[l] around `key` at every level: preds[l] is the
   // last node at level l with start < key (head_ if none), succ_words[l] the unmarked
   // word it pointed at when observed (0 at tail). Marked nodes encountered on the way
@@ -293,34 +289,6 @@ class SkiplistRangeLock {
     }
   }
 
-  // Watches `cur`'s level-0 mark until its owner releases it or the deadline
-  // expires; identical contract to list_lockfree_range_lock.h's WaitForRelease.
-  // Audit (wait-loop unification): bounded watch on SpinWait (the hand-rolled
-  // kWatchSpins loop is gone); the inter-round yield runs outside the epoch critical
-  // section via gate_spinner.Pause(), which also rotates the admission slot.
-  WaitResult WaitForRelease(const SkipLockNode* cur, EpochDomain::ThreadRec* rec,
-                            const Deadline& deadline, AdmissionSpinner& gate_spinner) {
-    if (deadline.IsImmediate()) {
-      return IsMarked(cur->next[0].load(std::memory_order_acquire))
-                 ? WaitResult::kReleased
-                 : WaitResult::kTimedOut;
-    }
-    SpinWait spin;
-    for (int i = 0; !spin.Yielding(); ++i) {
-      if (IsMarked(cur->next[0].load(std::memory_order_acquire))) {
-        return WaitResult::kReleased;
-      }
-      if ((i + 1) % Deadline::kSpinsPerClockCheck == 0 && deadline.Expired()) {
-        return WaitResult::kTimedOut;
-      }
-      spin.Spin();
-    }
-    EpochDomain::Exit(rec);
-    gate_spinner.Pause();
-    EpochDomain::Enter(rec);
-    return deadline.Expired() ? WaitResult::kTimedOut : WaitResult::kRestart;
-  }
-
   bool AcquireImpl(const Range& range, const Deadline& deadline, Handle* out) {
     assert(range.Valid() && "range locks require start < end");
     SkipLockNode* node = NodePool<SkipLockNode>::Local().Alloc();
@@ -349,8 +317,10 @@ class SkiplistRangeLock {
         conflict = succ;
       }
       if (conflict != nullptr) {
-        const WaitResult w = WaitForRelease(conflict, rec, deadline, gate_spinner);
-        if (w == WaitResult::kTimedOut) {
+        // Level 0 is a Listing-1 list, so the conflict's level-0 mark is its release
+        // point: the list locks' watch loop applies unchanged.
+        if (HarrisList::WaitForRelease(conflict->next[0], rec, deadline, gate_spinner) ==
+            HarrisList::WaitResult::kTimedOut) {
           EpochDomain::Exit(rec);
           NodePool<SkipLockNode>::Local().Recycle(node);  // never entered the index
           return false;

@@ -40,7 +40,7 @@
 
 namespace srl {
 
-// list-ex: the paper's exclusive list-based range lock (§4.1).
+// list-ex: the paper's exclusive list-based range lock (§4.1), §4.5 fast path included.
 struct ListExAdapter {
   using Handle = ListRangeLock::Handle;
   static constexpr bool kSharedReaders = false;
@@ -63,63 +63,14 @@ struct ListExAdapter {
   ListRangeLock lock;
 };
 
-// list-ex with the §4.5 fast path enabled.
-struct ListExFastPathAdapter {
-  using Handle = ListRangeLock::Handle;
-  static constexpr bool kSharedReaders = false;
-  static constexpr bool kPrecise = true;
-  static constexpr bool kUsesNodePool = true;
-  static const char* Name() { return "list-ex-fp"; }
-
-  ListExFastPathAdapter() : lock(ListRangeLock::Options{.enable_fast_path = true}) {}
-
-  Handle AcquireRead(const Range& r) { return lock.Lock(r); }
-  Handle AcquireWrite(const Range& r) { return lock.Lock(r); }
-  bool TryAcquireRead(const Range& r, Handle* out) { return lock.TryLock(r, out); }
-  bool TryAcquireWrite(const Range& r, Handle* out) { return lock.TryLock(r, out); }
-  bool AcquireReadFor(const Range& r, std::chrono::nanoseconds t, Handle* out) {
-    return lock.LockFor(r, t, out);
-  }
-  bool AcquireWriteFor(const Range& r, std::chrono::nanoseconds t, Handle* out) {
-    return lock.LockFor(r, t, out);
-  }
-  void Release(Handle h) { lock.Unlock(h); }
-
-  ListRangeLock lock;
-};
-
-// list-rw: the paper's reader-writer list-based range lock (§4.2).
+// list-rw: the paper's reader-writer list-based range lock (§4.2), §4.5 fast path
+// included.
 struct ListRwAdapter {
   using Handle = ListRwRangeLock::Handle;
   static constexpr bool kSharedReaders = true;
   static constexpr bool kPrecise = true;
   static constexpr bool kUsesNodePool = true;
   static const char* Name() { return "list-rw"; }
-
-  Handle AcquireRead(const Range& r) { return lock.LockRead(r); }
-  Handle AcquireWrite(const Range& r) { return lock.LockWrite(r); }
-  bool TryAcquireRead(const Range& r, Handle* out) { return lock.TryLockRead(r, out); }
-  bool TryAcquireWrite(const Range& r, Handle* out) { return lock.TryLockWrite(r, out); }
-  bool AcquireReadFor(const Range& r, std::chrono::nanoseconds t, Handle* out) {
-    return lock.LockReadFor(r, t, out);
-  }
-  bool AcquireWriteFor(const Range& r, std::chrono::nanoseconds t, Handle* out) {
-    return lock.LockWriteFor(r, t, out);
-  }
-  void Release(Handle h) { lock.Unlock(h); }
-
-  ListRwRangeLock lock;
-};
-
-// list-rw with the fast path enabled.
-struct ListRwFastPathAdapter {
-  using Handle = ListRwRangeLock::Handle;
-  static constexpr bool kSharedReaders = true;
-  static constexpr bool kPrecise = true;
-  static constexpr bool kUsesNodePool = true;
-  static const char* Name() { return "list-rw-fp"; }
-
-  ListRwFastPathAdapter() : lock(ListRwRangeLock::Options{.enable_fast_path = true}) {}
 
   Handle AcquireRead(const Range& r) { return lock.LockRead(r); }
   Handle AcquireWrite(const Range& r) { return lock.LockWrite(r); }

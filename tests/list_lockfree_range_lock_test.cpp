@@ -111,6 +111,40 @@ TEST(ListLockFreeRangeLockTest, TimedFailureReleasesInsertedPrefix) {
   EXPECT_EQ(lock.DebugHeldCount(), 0);
 }
 
+// LockBounded spends one failure budget across all covered buckets. Uncontended, zero
+// patience suffices; under CAS contention a give-up may strike after some buckets are
+// already held, and that prefix must be released like a timed failure's.
+TEST(ListLockFreeRangeLockTest, LockBoundedGiveUpReleasesInsertedPrefix) {
+  ListLockFreeRangeLock lock(Options{.buckets = 8, .window_shift = 0});
+  ListLockFreeRangeLock::Handle h = nullptr;
+  ASSERT_TRUE(lock.LockBounded({0, 8}, /*max_failures=*/0, &h));
+  EXPECT_EQ(lock.DebugHeldCount(), 8);
+  lock.Unlock(h);
+
+  std::atomic<int> acquisitions{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 5000; ++i) {
+        // Aligned 8-unit ranges: every one covers all buckets. Waiting out an equal
+        // range is free; lost CASes and forced restarts spend the budget.
+        const uint64_t base = static_cast<uint64_t>((t * 5000 + i) % 64) * 8;
+        ListLockFreeRangeLock::Handle hh = nullptr;
+        if (lock.LockBounded({base, base + 8}, /*max_failures=*/0, &hh)) {
+          acquisitions.fetch_add(1);
+          lock.Unlock(hh);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_GT(acquisitions.load(), 0);
+  EXPECT_EQ(lock.DebugHeldCount(), 0) << "a give-up left prefix nodes held";
+  EXPECT_TRUE(lock.DebugInvariantHolds());
+}
+
 TEST(ListLockFreeRangeLockTest, HandleReleasableFromAnotherThread) {
   ListLockFreeRangeLock lock(Options{.buckets = 8, .window_shift = 0});
   auto h = lock.Lock({0, 32});  // all buckets

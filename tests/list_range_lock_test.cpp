@@ -1,7 +1,8 @@
-// Tests for the exclusive list-based range lock (§4.1) and its fast-path / fairness
-// configurations.
+// Tests for the exclusive list-based range lock (§4.1), its §4.5 fast path and its
+// fairness wrapper (§4.3).
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -136,7 +137,7 @@ TEST(ListRangeLockTest, LockBoundedUncontendedSucceeds) {
 }
 
 TEST(ListRangeLockFastPathTest, SingleThreadUsesFastPath) {
-  ListRangeLock lock(ListRangeLock::Options{.enable_fast_path = true});
+  ListRangeLock lock;
   for (int i = 0; i < 1000; ++i) {
     auto h = lock.Lock({0, 100});
     lock.Unlock(h);
@@ -145,7 +146,7 @@ TEST(ListRangeLockFastPathTest, SingleThreadUsesFastPath) {
 }
 
 TEST(ListRangeLockFastPathTest, FastPathHolderBlocksOverlap) {
-  ListRangeLock lock(ListRangeLock::Options{.enable_fast_path = true});
+  ListRangeLock lock;
   auto h = lock.Lock({0, 10});  // fast path (empty list)
   std::atomic<bool> acquired{false};
   std::thread blocked([&] {
@@ -160,7 +161,7 @@ TEST(ListRangeLockFastPathTest, FastPathHolderBlocksOverlap) {
 }
 
 TEST(ListRangeLockFastPathTest, FastPathHolderAllowsDisjoint) {
-  ListRangeLock lock(ListRangeLock::Options{.enable_fast_path = true});
+  ListRangeLock lock;
   auto h = lock.Lock({0, 10});
   std::atomic<bool> acquired{false};
   std::thread other([&] {
@@ -173,11 +174,12 @@ TEST(ListRangeLockFastPathTest, FastPathHolderAllowsDisjoint) {
   lock.Unlock(h);
 }
 
-// Randomized exclusion stress, parameterized over (threads, fast_path, fairness).
+// Randomized exclusion stress, parameterized over (threads, fairness). Both fields are
+// ints, so the struct has no padding: gtest names each case after the param's raw bytes,
+// and padding bytes would make those names differ from build to build.
 struct StressParam {
   int threads;
-  bool fast_path;
-  bool fair;
+  int patience;  // 0 runs the plain ListRangeLock, otherwise FairListRangeLock
 };
 
 class ListExStressTest : public ::testing::TestWithParam<StressParam> {};
@@ -214,12 +216,11 @@ TEST_P(ListExStressTest, RandomRangesNeverOverlap) {
     }
   };
 
-  if (param.fair) {
-    FairListRangeLock lock(FairListRangeLock::Options{
-        .inner = {.enable_fast_path = param.fast_path}, .patience = 4});
+  if (param.patience > 0) {
+    FairListRangeLock lock(FairListRangeLock::Options{.patience = param.patience});
     run(lock);
   } else {
-    ListRangeLock lock(ListRangeLock::Options{.enable_fast_path = param.fast_path});
+    ListRangeLock lock;
     run(lock);
     EXPECT_EQ(lock.DebugHeldCount(), 0);
     EXPECT_TRUE(lock.DebugInvariantHolds());
@@ -230,13 +231,17 @@ TEST_P(ListExStressTest, RandomRangesNeverOverlap) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ListExStressTest,
-    ::testing::Values(StressParam{2, false, false}, StressParam{4, false, false},
-                      StressParam{8, false, false}, StressParam{4, true, false},
-                      StressParam{8, true, false}, StressParam{4, false, true},
-                      StressParam{8, true, true}),
+    ::testing::Values(StressParam{2, 0}, StressParam{4, 0}, StressParam{8, 0},
+                      StressParam{4, 4}, StressParam{8, 4}),
     [](const ::testing::TestParamInfo<StressParam>& info) {
-      return "t" + std::to_string(info.param.threads) +
-             (info.param.fast_path ? "_fp" : "") + (info.param.fair ? "_fair" : "");
+      // Appended piecewise: chained operator+ temporaries trip a GCC 12 -Wrestrict
+      // false positive at -O3, which -Werror turns into a Release build failure.
+      std::string name = "t";
+      name += std::to_string(info.param.threads);
+      if (info.param.patience > 0) {
+        name += "_fair";
+      }
+      return name;
     });
 
 // Pinpoint stress on a single hot range: maximum CAS contention at one insertion point.
@@ -332,7 +337,7 @@ TEST(ListRangeLockTest, GuardedPlainDataHasNoRace) {
 TEST(ListRangeLockFastPathTest, GuardedPlainDataHasNoRaceAcrossStripConvert) {
   constexpr int kThreads = 4;
   constexpr int kIters = 4000;
-  ListRangeLock lock(ListRangeLock::Options{.enable_fast_path = true});
+  ListRangeLock lock;
   uint64_t counter = 0;  // deliberately non-atomic
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {

@@ -30,10 +30,9 @@ class LockConformanceTest : public ::testing::Test {
 };
 
 using AllLocks =
-    ::testing::Types<ListExAdapter, ListExFastPathAdapter, ListLockFreeAdapter,
-                     SkiplistIndexedAdapter, ListRwAdapter, ListRwFastPathAdapter,
-                     FairListExAdapter, FairListRwAdapter, TreeExAdapter, TreeRwAdapter,
-                     SegmentRwAdapter, RwSemAdapter>;
+    ::testing::Types<ListExAdapter, ListLockFreeAdapter, SkiplistIndexedAdapter,
+                     ListRwAdapter, FairListExAdapter, FairListRwAdapter, TreeExAdapter,
+                     TreeRwAdapter, SegmentRwAdapter, RwSemAdapter>;
 
 class LockNames {
  public:

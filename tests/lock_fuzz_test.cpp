@@ -39,10 +39,9 @@ template <typename Adapter>
 class LockFuzzTest : public ::testing::Test {};
 
 using AllLocks =
-    ::testing::Types<ListExAdapter, ListExFastPathAdapter, ListLockFreeAdapter,
-                     SkiplistIndexedAdapter, ListRwAdapter, ListRwFastPathAdapter,
-                     FairListExAdapter, FairListRwAdapter, TreeExAdapter, TreeRwAdapter,
-                     SegmentRwAdapter, RwSemAdapter>;
+    ::testing::Types<ListExAdapter, ListLockFreeAdapter, SkiplistIndexedAdapter,
+                     ListRwAdapter, FairListExAdapter, FairListRwAdapter, TreeExAdapter,
+                     TreeRwAdapter, SegmentRwAdapter, RwSemAdapter>;
 
 class LockNames {
  public:

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# CI-style verification: configure + build + ctest in plain, TSan and ASan(+UBSan)
-# configurations, failing on the first error.
+# CI-style verification: configure + build + ctest in plain, TSan, ASan(+UBSan) and
+# Release configurations, failing on the first error.
 #
 # Usage:
-#   tools/check.sh                # all three configurations
-#   tools/check.sh plain          # just one (plain | thread | address)
+#   tools/check.sh                # all four configurations
+#   tools/check.sh plain          # just one (plain | thread | address | release)
 #   tools/check.sh --oversub plain
 #                                 # additionally run the oversubscription smoke (a
 #                                 # short bench/abl_oversub sweep at 64 threads) after
@@ -19,6 +19,9 @@
 # `stress` tests (the randomized fuzz batteries) run only in plain and TSan — their value
 # under a sanitizer is catching data races, which is TSan's job; repeating them under
 # ASan+UBSan would double the slowest part of the matrix for little coverage.
+# The release pass builds everything with -DCMAKE_BUILD_TYPE=Release (still -Werror:
+# -O3 enables diagnostics such as -Wrestrict that the default build never sees) and runs
+# the unit tier.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -34,7 +37,7 @@ for arg in "$@"; do
     *) ARGS+=("$arg") ;;
   esac
 done
-CONFIGS=("${ARGS[@]:-plain thread address}")
+CONFIGS=("${ARGS[@]:-plain thread address release}")
 # Word-split the default string while leaving explicit args intact.
 read -r -a CONFIGS <<<"${CONFIGS[*]}"
 
@@ -42,20 +45,22 @@ read -r -a CONFIGS <<<"${CONFIGS[*]}"
 # VmStructuralFuzz is the structural-VM-op battery (optimistic mm_rb walks, epoch-
 # reclaimed VMAs, range-scoped mmap/munmap); it carries the `stress` label, so the
 # ASan+UBSan pass (-LE stress) skips it while TSan races it for real.
-SANITIZED_TESTS='ListRangeLock|ListLockFree|ListRwRangeLock|FairList|LockConformance|LockFuzz|Epoch|Sync|SpinLock|TicketLock|RwSpinLock|FairRwLock|RwSemaphore|TreeRangeLock|SegmentRangeLock|RangeOracle|VmStructuralFuzz|VmFaultUnmapRace|VmStripe|VmSweep|SkiplistRangeLock|SkipList|Admission|Topology'
+SANITIZED_TESTS='ListRangeLock|ListLockFree|ListRwRangeLock|FastPathHandoff|FairList|LockConformance|LockFuzz|Epoch|Sync|SpinLock|TicketLock|RwSpinLock|FairRwLock|RwSemaphore|TreeRangeLock|SegmentRangeLock|RangeOracle|VmStructuralFuzz|VmFaultUnmapRace|VmStripe|VmSweep|SkiplistRangeLock|SkipList|Admission|Topology'
 
 run_config() {
   local config="$1"
-  local build_dir sanitize
+  local build_dir sanitize build_type=RelWithDebInfo
   case "$config" in
-    plain)   build_dir=build-check;      sanitize="" ;;
-    thread)  build_dir=build-check-tsan; sanitize=thread ;;
-    address) build_dir=build-check-asan; sanitize=address ;;
-    *) echo "unknown configuration: $config (want plain|thread|address)" >&2; exit 2 ;;
+    plain)   build_dir=build-check;         sanitize="" ;;
+    thread)  build_dir=build-check-tsan;    sanitize=thread ;;
+    address) build_dir=build-check-asan;    sanitize=address ;;
+    release) build_dir=build-check-release; sanitize=""; build_type=Release ;;
+    *) echo "unknown configuration: $config (want plain|thread|address|release)" >&2
+       exit 2 ;;
   esac
 
   echo "=== [$config] configure ==="
-  cmake -B "$build_dir" -S . -DSRL_SANITIZE="$sanitize" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake -B "$build_dir" -S . -DSRL_SANITIZE="$sanitize" -DCMAKE_BUILD_TYPE="$build_type"
 
   echo "=== [$config] build ==="
   cmake --build "$build_dir" -j "$JOBS"
@@ -72,6 +77,8 @@ run_config() {
         --variants=stock,tree,list,list-lf,skiplist --mixes=adversarial \
         --threads=64 --gates=on,off --secs=0.2 --repeats=1
     fi
+  elif [[ "$config" == release ]]; then
+    ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" -L unit
   elif [[ "$config" == thread ]]; then
     # Sanitizers must abort the test process on any finding, not just log it.
     TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
