@@ -17,8 +17,14 @@
 //     (A=[1,3) held, B=[2,7) waiting, C=[4,5)) C blocks behind the waiter B even though
 //     C conflicts with nothing that is actually held (FIFO admission).
 //
+// The port is the §3 algorithm and nothing more: the structure lock is a plain spin
+// lock and a waiter spins, then yields, on its blocking count — no admission layer or
+// other contention control the kernel lock lacks. On 4 cores a concurrency-restricting
+// gate on either site lost to this plain version (README, "Admission control &
+// topology").
+//
 // The optional WaitStats sink measures time spent acquiring the internal spin lock —
-// the quantity plotted in Figure 8.
+// the quantity plotted in Figure 8, as the kernel's lock_stat would.
 #ifndef SRL_BASELINES_TREE_RANGE_LOCK_H_
 #define SRL_BASELINES_TREE_RANGE_LOCK_H_
 
@@ -32,10 +38,9 @@
 #include "src/harness/free_list.h"
 #include "src/harness/wait_stats.h"
 #include "src/rbtree/interval_tree.h"
-#include "src/sync/admission.h"
+#include "src/sync/cacheline.h"
 #include "src/sync/deadline.h"
 #include "src/sync/spin_lock.h"
-#include "src/sync/spin_wait.h"
 
 namespace srl {
 
@@ -139,26 +144,9 @@ class TreeRangeLock {
     n->blocking.store(blockers, std::memory_order_relaxed);
     tree_.Insert(n);
     spin_.unlock();
-    if (deadline.IsInfinite()) {
-      // Audit (wait-loop unification): the blocking-count watch runs on SpinWait (the
-      // shared spin-then-yield primitive) instead of DeadlineSpinner's clock cadence —
-      // an infinite wait has no clock to read. Once yielding, each round goes through
-      // the admission spinner, which caps how many of these watchers burn scheduler
-      // quanta at once and periodically rotates the active slot to a parked waiter
-      // (the FIFO-admission pathology means a watcher can block later arrivals while
-      // itself parked — eventual rotation is what keeps that chain live).
-      AdmissionSpinner gate_spinner(&gate_, deadline);
-      SpinWait spin;
-      while (n->blocking.load(std::memory_order_acquire) > 0) {
-        if (!spin.Yielding()) {
-          spin.Spin();
-        } else {
-          gate_spinner.Pause();
-        }
-      }
-      *out = n;
-      return true;
-    }
+    // One wait loop for every deadline: an infinite deadline never expires (Expired()
+    // is free for it), so a blocking acquisition spins, then yields, until its
+    // blocking count drains — the kernel's plain wait.
     DeadlineSpinner spinner(deadline);
     while (n->blocking.load(std::memory_order_acquire) > 0) {
       if (!spinner.SpinOrExpire()) {
@@ -222,38 +210,20 @@ class TreeRangeLock {
   void LockInternal() {
     if (spin_stats_ != nullptr) {
       const uint64_t t0 = WaitStats::NowNs();
-      LockInternalContended();
+      spin_.lock();
       spin_stats_->RecordWrite(WaitStats::NowNs() - t0);
       return;
     }
-    LockInternalContended();
-  }
-
-  // The one spin lock every acquisition and release funnels through (the §3
-  // serialization pathology) is also where oversubscription hurts first: hundreds of
-  // spinners starve the holder of CPU. Uncontended acquisitions stay a bare try_lock;
-  // a contended one takes an admission ticket, so at most ~#cores threads spin on the
-  // lock word while the surplus parks. The ticket spans only the spin acquisition —
-  // the caller's critical section under spin_ runs ungated, keeping hold times short.
-  void LockInternalContended() {
-    if (spin_.try_lock()) {
-      return;
-    }
-    AdmissionGate::Ticket ticket(&spin_gate_);
     spin_.lock();
   }
 
-  SpinLock spin_;
-  IntervalTree<Node> tree_;
+  // The lock word and the state it guards sit on separate cache lines: waiters spin
+  // reading spin_ while the holder rewrites the tree root and next_seq_, and on a
+  // shared line every holder write would stall behind the waiters' reads.
+  alignas(kCacheLineSize) SpinLock spin_;
+  alignas(kCacheLineSize) IntervalTree<Node> tree_;
   uint64_t next_seq_ = 1;  // guarded by spin_
   WaitStats* spin_stats_ = nullptr;
-  // Two gates on purpose. gate_ caps the blocking-count watch loops, whose slots are
-  // held across waits as long as the conflicting owner's critical section. spin_gate_
-  // caps contenders on spin_, where a slot lives for a µs-scale tree operation.
-  // Sharing one gate lets watchers exhaust the cap and park releasers — the thread
-  // that would have made the watchers' wait finite — behind them.
-  AdmissionGate gate_;
-  AdmissionGate spin_gate_;
 };
 
 }  // namespace srl

@@ -104,8 +104,8 @@ class AdmissionGate {
   }
 
   // Global kill switch, for measuring gated-vs-ungated in one binary
-  // (bench/abl_oversub --gate=off). Checked at Enter time by the RAII wrappers, which
-  // remember the answer so a toggle mid-flight can never unbalance Enter/Exit pairs.
+  // (bench/abl_oversub --gates=off). AdmissionSpinner checks it once, at construction,
+  // and remembers the answer, so a toggle mid-flight can never unbalance Enter/Exit.
   static void SetGloballyEnabled(bool on) {
     globally_enabled_.store(on, std::memory_order_relaxed);
   }
@@ -117,10 +117,9 @@ class AdmissionGate {
   // Exit() it); false only for a timed deadline that expired before admission. An
   // immediate deadline admits over the cap — the trylock bypass rule.
   //
-  // Saturation does NOT park immediately: gated resources span hold times from a few
-  // hundred nanoseconds (the tree lock's internal spin) to whole user critical
-  // sections, and turning every sub-microsecond handoff into a futex sleep+wake would
-  // cost more than the contention it prevents. Enter therefore spins politely first
+  // Saturation does NOT park immediately: a slot is often freed within a µs-scale
+  // handoff, and turning every such handoff into a futex sleep+wake would cost more
+  // than the contention it prevents. Enter therefore spins politely first
   // (spin-then-park): the SpinWait relax phase plus a few yields — enough for a
   // preempted holder to run and free a slot — and only a waiter that outlives that
   // patience is a genuine surplus worth parking.
@@ -188,29 +187,6 @@ class AdmissionGate {
   // private per-lock gates (bench/abl_oversub reports per-cell deltas of these).
   static uint64_t TotalParks() { return total_parks_.load(std::memory_order_relaxed); }
   static uint64_t TotalCulls() { return total_culls_.load(std::memory_order_relaxed); }
-
-  // RAII slot for straight-line gated sections (the full-space VmLock write path and
-  // the tree lock's internal spin): enters on construction — honoring the global
-  // enable switch — and exits on destruction. A null gate is a no-op ticket.
-  class Ticket {
-   public:
-    explicit Ticket(AdmissionGate* gate)
-        : gate_(gate != nullptr && GloballyEnabled() ? gate : nullptr) {
-      if (gate_ != nullptr) {
-        gate_->Enter(Deadline::Infinite());
-      }
-    }
-    ~Ticket() {
-      if (gate_ != nullptr) {
-        gate_->Exit();
-      }
-    }
-    Ticket(const Ticket&) = delete;
-    Ticket& operator=(const Ticket&) = delete;
-
-   private:
-    AdmissionGate* gate_;
-  };
 
  private:
   // Yields tolerated after the SpinWait relax phase before a saturated Enter parks.

@@ -37,7 +37,6 @@
 #include "src/core/range.h"
 #include "src/core/skiplist_range_lock.h"
 #include "src/harness/wait_stats.h"
-#include "src/sync/admission.h"
 #include "src/sync/rw_semaphore.h"
 
 namespace srl::vm {
@@ -67,13 +66,6 @@ class VmLock {
 
   void* LockWrite(const Range& r) {
     CountWrite(r);
-    // Full-space writes are the one acquisition class with no range parallelism at
-    // all: every contender serializes on the same logical resource regardless of
-    // backend, which is exactly the shape that collapses under oversubscription.
-    // Gate them at ~#cores of active contenders; the surplus parks. The ticket spans
-    // only the acquisition (it releases once DoLockWrite returns), not the user's
-    // critical section — restricting *contention*, not *concurrency of holders*.
-    AdmissionGate::Ticket ticket(r == Range::Full() ? &full_write_gate_ : nullptr);
     if (stats_ == nullptr) {
       return DoLockWrite(r);
     }
@@ -160,8 +152,6 @@ class VmLock {
   WaitStats* stats_ = nullptr;
   std::atomic<uint64_t> full_writes_{0};
   std::atomic<uint64_t> ranged_writes_{0};
-  // Admission control for the full-address-space write path (see LockWrite).
-  AdmissionGate full_write_gate_;
 };
 
 // Factory.

@@ -183,6 +183,11 @@ TEST(AdmissionGateTest, CullsServeOldestParkedWaiterFirst) {
   while (gate.Parks() < 2) {
     std::this_thread::yield();
   }
+  // Parks() counts t2 before its Dekker re-check of active_. An Exit inside that
+  // window lets t2's re-check cull too — it claims t1 or, if the Exit got t1 first,
+  // itself — and then t2 can outrun t1 with both legitimately admitted. Let t2 finish
+  // the re-check and sleep first, so only the Exit below culls.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   gate.Exit();  // cull #1 → must wake t1; t1's exit culls t2
   t1.join();
   t2.join();
@@ -264,18 +269,6 @@ TEST(AdmissionGateTest, TimedAndInfiniteWaitersMixedHammer) {
   EXPECT_FALSE(gate.HasParked());
 }
 
-TEST(AdmissionGateTest, GlobalKillSwitchBypassesTicket) {
-  AdmissionGate gate(1);
-  ASSERT_TRUE(gate.Enter(Deadline::Infinite()));  // saturate
-  AdmissionGate::SetGloballyEnabled(false);
-  {
-    AdmissionGate::Ticket ticket(&gate);  // must not block or touch the gate
-    EXPECT_EQ(gate.Active(), 1u);
-  }
-  AdmissionGate::SetGloballyEnabled(true);
-  gate.Exit();
-}
-
 // --- AdmissionSpinner ---
 
 TEST(AdmissionSpinnerTest, InfiniteDeadlineHoldsOneSlotAcrossPauses) {
@@ -297,6 +290,20 @@ TEST(AdmissionSpinnerTest, TimedDeadlineIsInert) {
   spinner.Pause();  // must degenerate to a plain yield, not park
   EXPECT_EQ(gate.Active(), 1u);
   EXPECT_EQ(gate.Parks(), 0u);
+  gate.Exit();
+}
+
+TEST(AdmissionSpinnerTest, GlobalKillSwitchBypassesSpinner) {
+  AdmissionGate gate(2);
+  ASSERT_TRUE(gate.Enter(Deadline::Infinite()));  // one slot held
+  AdmissionGate::SetGloballyEnabled(false);
+  {
+    AdmissionSpinner spinner(&gate, Deadline::Infinite());
+    spinner.Pause();  // must not take the free slot, park, or touch the gate at all
+    EXPECT_EQ(gate.Active(), 1u);
+    EXPECT_EQ(gate.Parks(), 0u);
+  }
+  AdmissionGate::SetGloballyEnabled(true);
   gate.Exit();
 }
 

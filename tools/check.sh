@@ -8,8 +8,9 @@
 #   tools/check.sh --oversub plain
 #                                 # additionally run the oversubscription smoke (a
 #                                 # short bench/abl_oversub sweep at 64 threads) after
-#                                 # the plain test pass — a cheap "does the admission
-#                                 # gate still survive oversubscription" canary
+#                                 # the plain test pass — a cheap "does the list-family
+#                                 # watch-loop admission gate still survive
+#                                 # oversubscription" canary
 #
 # The sanitizer passes run the concurrency-heavy lock tests (not the full suite) to keep
 # wall-clock sane under the ~10x sanitizer slowdown; the plain pass runs everything —
@@ -70,11 +71,14 @@ run_config() {
     ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
     if [[ "$OVERSUB" == 1 ]]; then
       # Oversubscription canary: far more threads than any CI core count, long enough
-      # for the parking/cull machinery to engage. Exit status only — perf numbers from
-      # shared runners are not judged here (see tools/perf_diff.py for trajectories).
+      # for the parking/cull machinery to engage. The hot mix drives the one remaining
+      # gate site — the list-family watch loop (HarrisList::WaitForRelease and the
+      # skiplist's wait) — directly; tree and stock are ungated references. Exit status
+      # only — perf numbers from shared runners are not judged here (see
+      # tools/perf_diff.py for trajectories).
       echo "=== [$config] oversubscription smoke ==="
       "$build_dir/bench/abl_oversub" \
-        --variants=stock,tree,list,list-lf,skiplist --mixes=adversarial \
+        --variants=stock,tree,list,list-lf,skiplist --mixes=hot,adversarial \
         --threads=64 --gates=on,off --secs=0.2 --repeats=1
     fi
   elif [[ "$config" == release ]]; then
