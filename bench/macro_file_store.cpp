@@ -25,16 +25,14 @@
 // AddressSpace mirror of the file — every record access page-faults its page, and a
 // background janitor thread periodically drops the store's resident pages
 // (MADV_DONTNEED over rotating sixteenths of the file), the way a cache server trims
-// cold regions under memory pressure. `inline` drops pages synchronously inside the
-// janitor's read acquisition (the pre-deferral shape); `deferred` enqueues them on
-// the sweep queues and lets the flush threshold batch the page-table work outside any
-// range lock. Teardown exits through MunmapAsync + DrainSweeps. Rows land in a second
-// table (same metrics, extra cold-drop/drops-sec columns) so the default table's
-// schema — and its perf_diff history — is untouched.
+// cold regions under memory pressure. Each drop sweeps its pages inside the janitor's
+// read acquisition. Teardown exits through Munmap. Rows land in a second table (same
+// metrics, extra cold-drop/drops-sec columns) so the default table's schema — and its
+// perf_diff history — is untouched.
 //
 // Flags: --locks=skiplist-indexed,list-ex,list-lf,lustre-ex --threads=1,2,4,8
 //        --records=1048576 --zipf=0.99 --secs=0.25 --repeats=1
-//        --cold-drop=off|inline|deferred --csv --json=BENCH_file_store.json
+//        --cold-drop=off|on --csv --json=BENCH_file_store.json
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -204,20 +202,13 @@ uint64_t ScatterRank(uint64_t rank, uint64_t records) {
   return (rank * 0x9E3779B97F4A7C15ull) & (records - 1);
 }
 
-enum class ColdDrop { kOff, kInline, kDeferred };
-
-const char* ColdDropName(ColdDrop c) {
-  return c == ColdDrop::kInline ? "inline" : "deferred";
-}
-
 // Simulated AddressSpace mirror of the file (see the header): client record accesses
 // page-fault their page; a janitor thread trims rotating sixteenths of the file with
 // MADV_DONTNEED the way a cache server drops cold regions under memory pressure.
 class VmMirror {
  public:
-  VmMirror(uint64_t size_bytes, ColdDrop mode)
+  explicit VmMirror(uint64_t size_bytes)
       : as_(vm::VmVariant::kListScoped, 4), size_(size_bytes) {
-    as_.SetDeferredSweeps(mode == ColdDrop::kDeferred);
     base_ = as_.Mmap(size_, vm::kProtRead | vm::kProtWrite);
     janitor_ = std::thread([this] {
       const uint64_t sixteenth = size_ / 16;
@@ -233,9 +224,8 @@ class VmMirror {
 
   ~VmMirror() { Teardown(); }
 
-  // Stops the janitor and exits through the async path: the unlink is synchronous,
-  // the page sweep rides the drain. Idempotent — RunOne calls it before reading the
-  // sweep counters so the teardown flush is included.
+  // Stops the janitor and unmaps the mirror. Idempotent — RunOne calls it once the
+  // measured window closes so the drop rate covers the janitor's whole life.
   void Teardown() {
     if (torn_down_) {
       return;
@@ -243,14 +233,12 @@ class VmMirror {
     torn_down_ = true;
     stop_.store(true, std::memory_order_release);
     janitor_.join();
-    as_.MunmapAsync(base_, size_);
-    as_.DrainSweeps();
+    as_.Munmap(base_, size_);
   }
 
   void Touch(uint64_t offset) { as_.PageFault(base_ + offset, false); }
 
   uint64_t Drops() const { return drops_.load(std::memory_order_relaxed); }
-  uint64_t SweptPages() const { return as_.Stats().sweeps_swept_pages.load(); }
 
  private:
   vm::AddressSpace as_;
@@ -262,21 +250,16 @@ class VmMirror {
   std::atomic<uint64_t> drops_{0};
 };
 
-struct ColdStats {
-  double drops_per_sec = 0.0;
-  uint64_t swept_pages = 0;
-};
-
 template <typename LockT>
 Summary RunOne(uint64_t records, int threads, double secs, int repeats,
                const ZipfSampler& zipf, std::atomic<uint64_t>* torn,
-               ColdDrop cold = ColdDrop::kOff, ColdStats* cold_stats = nullptr) {
+               bool cold = false, double* drops_per_sec = nullptr) {
   LockT adapter;
   FileStore store(records);
   std::unique_ptr<VmMirror> mirror;
   const auto mirror_start = std::chrono::steady_clock::now();
-  if (cold != ColdDrop::kOff) {
-    mirror = std::make_unique<VmMirror>(store.SizeBytes(), cold);
+  if (cold) {
+    mirror = std::make_unique<VmMirror>(store.SizeBytes());
   }
   VmMirror* mp = mirror.get();
   const Summary s = MeasureThroughputRepeated(
@@ -383,14 +366,12 @@ Summary RunOne(uint64_t records, int threads, double secs, int repeats,
         }
         return ops;
       });
-  if (mp != nullptr && cold_stats != nullptr) {
+  if (mp != nullptr && drops_per_sec != nullptr) {
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - mirror_start)
             .count();
-    mp->Teardown();  // include the teardown drain in the sweep counters
-    cold_stats->drops_per_sec =
-        elapsed > 0 ? static_cast<double>(mp->Drops()) / elapsed : 0.0;
-    cold_stats->swept_pages = mp->SweptPages();
+    mp->Teardown();
+    *drops_per_sec = elapsed > 0 ? static_cast<double>(mp->Drops()) / elapsed : 0.0;
   }
   return s;
 }
@@ -410,15 +391,14 @@ void RunLock(const std::vector<int>& threads, uint64_t records, double secs,
 // perf_diff history) is untouched.
 template <typename LockT>
 void RunLockCold(const std::vector<int>& threads, uint64_t records, double secs,
-                 int repeats, const ZipfSampler& zipf, ColdDrop cold, Table* table,
+                 int repeats, const ZipfSampler& zipf, Table* table,
                  std::atomic<uint64_t>* torn) {
   for (int t : threads) {
-    ColdStats cs;
-    const Summary s = RunOne<LockT>(records, t, secs, repeats, zipf, torn, cold, &cs);
-    table->AddRow({LockT::Name(), std::to_string(t), ColdDropName(cold),
-                   Table::Num(s.mean, 0), Table::Num(s.RelStddevPct(), 1),
-                   Table::Num(cs.drops_per_sec, 0),
-                   std::to_string(cs.swept_pages)});
+    double drops_per_sec = 0.0;
+    const Summary s =
+        RunOne<LockT>(records, t, secs, repeats, zipf, torn, true, &drops_per_sec);
+    table->AddRow({LockT::Name(), std::to_string(t), "on", Table::Num(s.mean, 0),
+                   Table::Num(s.RelStddevPct(), 1), Table::Num(drops_per_sec, 0)});
   }
 }
 
@@ -430,7 +410,7 @@ int main(int argc, char** argv) {
   if (cli.Has("--help")) {
     std::cout << "macro_file_store --locks=skiplist-indexed,list-ex,list-lf,lustre-ex "
                  "--threads=1,2,4,8 --records=1048576 --zipf=0.99 --secs=0.25 "
-                 "--repeats=1 --cold-drop=off|inline|deferred --csv "
+                 "--repeats=1 --cold-drop=off|on --csv "
                  "--json=BENCH_file_store.json\n";
     return 0;
   }
@@ -444,12 +424,8 @@ int main(int argc, char** argv) {
   const int repeats = static_cast<int>(cli.GetInt("--repeats", 1));
   const bool csv = cli.GetBool("--csv");
   const std::string cold_arg = cli.GetString("--cold-drop", "off");
-  srl::ColdDrop cold = srl::ColdDrop::kOff;
-  if (cold_arg == "inline") {
-    cold = srl::ColdDrop::kInline;
-  } else if (cold_arg == "deferred") {
-    cold = srl::ColdDrop::kDeferred;
-  } else if (cold_arg != "off") {
+  const bool cold = cold_arg == "on";
+  if (!cold && cold_arg != "off") {
     std::cerr << "unknown --cold-drop mode: " << cold_arg << "\n";
     return 1;
   }
@@ -480,25 +456,25 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout, csv);
 
-  srl::Table cold_table({"lock", "threads", "cold-drop", "ops/sec", "rel-stddev%",
-                         "drops/sec", "swept-pages"});
-  if (cold != srl::ColdDrop::kOff) {
-    std::cout << "\n=== file store + VM mirror — janitor drops cold sixteenths ("
-              << cold_arg << " sweeps), record accesses page-fault ===\n";
+  srl::Table cold_table(
+      {"lock", "threads", "cold-drop", "ops/sec", "rel-stddev%", "drops/sec"});
+  if (cold) {
+    std::cout << "\n=== file store + VM mirror — janitor drops cold sixteenths, record "
+                 "accesses page-fault ===\n";
     if (want(srl::SkiplistIndexed::Name())) {
       srl::RunLockCold<srl::SkiplistIndexed>(threads, records, secs, repeats, zipf,
-                                             cold, &cold_table, &torn);
+                                             &cold_table, &torn);
     }
     if (want(srl::ListEx::Name())) {
-      srl::RunLockCold<srl::ListEx>(threads, records, secs, repeats, zipf, cold,
-                                    &cold_table, &torn);
+      srl::RunLockCold<srl::ListEx>(threads, records, secs, repeats, zipf, &cold_table,
+                                    &torn);
     }
     if (want(srl::ListLf::Name())) {
-      srl::RunLockCold<srl::ListLf>(threads, records, secs, repeats, zipf, cold,
-                                    &cold_table, &torn);
+      srl::RunLockCold<srl::ListLf>(threads, records, secs, repeats, zipf, &cold_table,
+                                    &torn);
     }
     if (want(srl::LustreEx::Name())) {
-      srl::RunLockCold<srl::LustreEx>(threads, records, secs, repeats, zipf, cold,
+      srl::RunLockCold<srl::LustreEx>(threads, records, secs, repeats, zipf,
                                       &cold_table, &torn);
     }
     cold_table.Print(std::cout, csv);
@@ -514,7 +490,7 @@ int main(int argc, char** argv) {
                  {"zipf", std::to_string(zipf_theta)},
                  {"mix", "60r/20w/10txn/10scan+fullscan"}},
                 table);
-  if (cold != srl::ColdDrop::kOff) {
+  if (cold) {
     json.AddTable({{"records", std::to_string(records)},
                    {"zipf", std::to_string(zipf_theta)},
                    {"cold_drop", cold_arg},

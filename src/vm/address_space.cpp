@@ -124,8 +124,6 @@ AddressSpace::AddressSpace(VmVariant variant, unsigned stripes)
   // window origin (kMmapBase is not span-aligned, so the origin must be subtracted).
   pages_.ConfigureStripes(VmaIndex::kStripeShift - 12, kMmapBase / kPageSize, stripes_);
   cursors_ = std::make_unique<CacheAligned<std::atomic<uint64_t>>[]>(stripes_);
-  sweeps_ = std::make_unique<CacheAligned<SweepQueue>[]>(stripes_);
-  sweep_gc_ = std::make_unique<CacheAligned<SweepGc>[]>(stripes_);
   for (unsigned i = 0; i < stripes_; ++i) {
     cursors_[i].value.store(VmaIndex::WindowBase(i), std::memory_order_relaxed);
   }
@@ -139,8 +137,8 @@ unsigned AddressSpace::HomeStripe() const {
   // so (a) threads on the same core share a stripe instead of bouncing its cache lines
   // to wherever registration order scattered them, and (b) with stripes >= cores,
   // co-located CPUs of one NUMA node map to a contiguous stripe block — the stripe's
-  // heads, cursor, and sweep queue stay node-local. The CPU is sampled once per thread
-  // (stripes must be stable per thread for the VMA-locality contract), so later
+  // heads, cursor, and page-table shards stay node-local. The CPU is sampled once per
+  // thread (stripes must be stable per thread for the VMA-locality contract), so later
   // migration does not re-home the thread — same trade-off the kernel makes for
   // per-CPU-ish structures accessed without preemption protection.
   //
@@ -236,18 +234,17 @@ uint64_t AddressSpace::MmapInStripe(unsigned stripe, uint64_t length, uint32_t p
 }
 
 bool AddressSpace::ApplyMunmapLocked(uint64_t s, uint64_t e, unsigned lo, unsigned hi,
-                                     uint64_t* expected_present) {
+                                     bool* populated) {
   // Pairs with the fence in PageFaultOptimistic between its install/hint increment and
   // its seqcount validation. The caller's LockMutate bumped the stripe seqcount; this
   // fence orders that store before the hint loads below, so for any racing speculative
-  // fault either (a) its validation sees the bump and it loses (undoing or handing off
-  // its install), or (b) our hint load sees its increment. Without the fence both
+  // fault either (a) its validation sees the bump and it loses (undoing its install),
+  // or (b) our hint load sees its increment and the sweep runs. Without the fence both
   // loads can read old values (store-buffer reordering): a winning fault would keep
-  // its page while this op reads hint==0 — an unsound skip-empty and an unsound
-  // expected bound.
+  // its page while this op reads hint==0 — an unsound skip-empty.
   SeqCstFence();
   bool any = false;
-  *expected_present = 0;
+  *populated = false;
   Vma* v = index_.Find(s, lo, hi);
   while (v != nullptr && v->Start() < e) {
     Vma* next = index_.Next(v, hi);
@@ -255,13 +252,12 @@ bool AddressSpace::ApplyMunmapLocked(uint64_t s, uint64_t e, unsigned lo, unsign
     const uint64_t ve = v->End();
     // The page sweep exists to erase pages of the clipped/erased region; a VMA whose
     // present_hint is zero provably never had one installed (the hint is an upper
-    // bound), so an unmap touching only such VMAs skips the sweep. Non-zero hints sum
-    // (saturating) into *expected_present: an upper bound on pages installed anywhere
-    // under the touched VMAs, hence on pages present in [s, e) — which bounds the
-    // flusher's probe. Sound against in-flight speculative faults via the fence above;
-    // locked faults are ordered by the mutation locks this op holds.
-    *expected_present = SweepQueue::SatAdd(
-        *expected_present, v->present_hint.load(std::memory_order_relaxed));
+    // bound), so an unmap touching only such VMAs skips the sweep. Sound against
+    // in-flight speculative faults via the fence above; locked faults are ordered by
+    // the mutation locks this op holds.
+    if (v->present_hint.load(std::memory_order_relaxed) != 0) {
+      *populated = true;
+    }
     if (s <= vs && e >= ve) {
       // Fully covered: remove.
       index_.EraseAndRetire(v);
@@ -291,15 +287,6 @@ bool AddressSpace::ApplyMunmapLocked(uint64_t s, uint64_t e, unsigned lo, unsign
 }
 
 bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
-  return MunmapImpl(addr, length,
-                    deferred_sweeps_ ? SweepPolicy::kDeferred : SweepPolicy::kInline);
-}
-
-bool AddressSpace::MunmapAsync(uint64_t addr, uint64_t length) {
-  return MunmapImpl(addr, length, SweepPolicy::kAsync);
-}
-
-bool AddressSpace::MunmapImpl(uint64_t addr, uint64_t length, SweepPolicy policy) {
   if (length == 0) {
     return false;
   }
@@ -340,19 +327,13 @@ bool AddressSpace::MunmapImpl(uint64_t addr, uint64_t length, SweepPolicy policy
         void* h = lock_->LockWrite({ls, le});
         VmaStripe& st = index_.Stripe(si);
         st.LockMutate();
-        uint64_t expected = 0;
-        const bool any = ApplyMunmapLocked(s, e, si, si, &expected);
+        bool populated = false;
+        const bool any = ApplyMunmapLocked(s, e, si, si, &populated);
         st.UnlockMutate();
-        if (any && expected > 0) {
-          if (policy == SweepPolicy::kInline) {
-            // The pre-deferral shape: probe the whole region under the acquisition.
-            pages_.RemoveRange(s / kPageSize, e / kPageSize);
-          } else {
-            // Enqueue strictly after the seqcount bump (UnlockMutate above closed the
-            // write section), so every flush of this range is ordered after the bump —
-            // the deferred half of the install-then-validate ordering argument.
-            EnqueueSweepRange(s, e, expected);
-          }
+        // The sweep runs strictly after the seqcount bump: a fault that installs after
+        // it fails validation and undoes its own install.
+        if (populated) {
+          pages_.RemoveRange(s / kPageSize, e / kPageSize);
         } else if (any) {
           stats_.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
         }
@@ -360,9 +341,6 @@ bool AddressSpace::MunmapImpl(uint64_t addr, uint64_t length, SweepPolicy policy
         stats_.scoped_structural.fetch_add(1, std::memory_order_relaxed);
         stats_.stripe(si).scoped_structural.fetch_add(1, std::memory_order_relaxed);
         st.MaybeFlushRetired();
-        if (policy == SweepPolicy::kDeferred) {
-          MaybeFlushSweeps(si);
-        }
         return any;
       }
       case RangeClass::kCrossStripe:
@@ -379,154 +357,27 @@ bool AddressSpace::MunmapImpl(uint64_t addr, uint64_t length, SweepPolicy policy
   const unsigned hi = index_.IndexOf(e - 1);
   void* h = lock_->LockFullWrite();
   index_.LockMutateRange(lo, hi);
-  uint64_t expected = 0;
-  const bool any = ApplyMunmapLocked(s, e, lo, hi, &expected);
+  bool populated = false;
+  const bool any = ApplyMunmapLocked(s, e, lo, hi, &populated);
   index_.UnlockMutateRange(lo, hi);
-  if (any && expected > 0) {
-    if (policy == SweepPolicy::kInline) {
-      pages_.RemoveRange(s / kPageSize, e / kPageSize);
-    } else {
-      EnqueueSweepRange(s, e, expected);
-    }
+  if (populated) {
+    pages_.RemoveRange(s / kPageSize, e / kPageSize);
   } else if (any) {
     stats_.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
   }
   lock_->UnlockWrite(h);
   index_.MaybeFlushRetired(lo, hi);
-  if (policy == SweepPolicy::kDeferred) {
-    for (unsigned i = lo; i <= hi; ++i) {
-      MaybeFlushSweeps(i);
-    }
-  }
   return any;
 }
 
-void AddressSpace::EnqueueSweepRange(uint64_t s, uint64_t e, uint64_t expected) {
-  // Split at stripe-window edges so each piece lands on its own stripe's queue (the
-  // queue assignment is a locality choice, not a correctness one — any queue's flush
-  // erases the right pages). Addresses below/above every window (clamped margins) go
-  // to the nearest window's queue. Each piece carries the caller's full `expected`
-  // bound — an upper bound on the whole range is one on each piece.
-  uint64_t cur = s;
-  while (cur < e) {
-    const unsigned si = index_.IndexOf(cur);
-    uint64_t nxt = VmaIndex::WindowEnd(si);
-    if (nxt <= cur || nxt > e) {
-      nxt = e;
-    }
-    const uint64_t first = cur / kPageSize;
-    const uint64_t last = nxt / kPageSize;
-    const std::size_t absorbed = sweeps_[si].value.Enqueue(first, last, expected);
-    stats_.sweeps_queued.fetch_add(1, std::memory_order_relaxed);
-    stats_.sweeps_queued_pages.fetch_add(last - first, std::memory_order_relaxed);
-    if (absorbed != 0) {
-      stats_.sweeps_coalesced.fetch_add(absorbed, std::memory_order_relaxed);
-    }
-    cur = nxt;
-  }
-}
-
-void AddressSpace::FlushSweeps(unsigned si) {
-  SweepQueue& q = sweeps_[si].value;
-  SweepGc& gc = sweep_gc_[si].value;
-  const std::vector<SweepQueue::Range> ranges = q.Claim();
-  if (!ranges.empty()) {
-    const uint64_t batch = gc.batch.fetch_add(1, std::memory_order_relaxed) + 1;
-    uint64_t pages = 0;
-    for (const SweepQueue::Range& r : ranges) {
-      // The range's expected bound caps the probe: a sparsely-faulted region costs
-      // its installs, not its size. sweeps_swept_pages counts pages ACTUALLY erased.
-      uint64_t resume = r.first;
-      const uint64_t erased = pages_.RemoveRange(r.first, r.last, r.expected, &resume);
-      pages += erased;
-      // A probe that spent its whole finite budget before reaching the end may have
-      // been robbed (a losing fault's transient install soaked up a unit meant for a
-      // real dead page past the stop point): keep the range as a tombstone so the
-      // robbed loser's RaiseClaimed still finds it. A full walk leaves no survivors
-      // and settles immediately.
-      const bool may_survive = r.expected != SweepQueue::kUnbounded &&
-                               erased == r.expected && resume < r.last;
-      q.FinishClaimed(r.first, r.last, resume, may_survive, batch);
-    }
-    stats_.sweeps_flushes.fetch_add(1, std::memory_order_relaxed);
-    stats_.sweeps_swept_pages.fetch_add(pages, std::memory_order_relaxed);
-    stats_.stripe(si).sweep_flushes.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Tombstone GC: a tombstone settles for free once every fault in flight at its
-  // finish has exited (all possible thieves have raised by then). One armed grace
-  // ticket per stripe; polling is non-blocking, so this adds a few loads per flush.
-  if (q.NewestFinishedBatch() != 0 || gc.armed) {
-    EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
-    std::lock_guard<SpinLock> g(gc.lock);
-    if (gc.armed && gc.ticket.Elapsed()) {
-      q.PurgeFinishedUpTo(gc.hi);
-      gc.armed = false;
-    }
-    if (!gc.armed) {
-      const uint64_t newest = q.NewestFinishedBatch();
-      if (newest != 0) {
-        if (EpochDomain::Global().QuiescentNow(rec)) {
-          q.PurgeFinishedUpTo(newest);  // nothing in flight: trivially settled
-        } else {
-          gc.ticket = EpochDomain::Global().Snapshot(rec);
-          gc.hi = newest;
-          gc.armed = true;
-        }
-      }
-    }
-  }
-}
-
-void AddressSpace::MaybeFlushSweeps(unsigned si) {
-  if (sweeps_[si].value.NeedsFlush()) {
-    FlushSweeps(si);
-  }
-}
-
 void AddressSpace::DrainSweeps() {
-  // First pass erases everything enqueued so far; the epoch barrier then waits out
-  // every in-flight fault (a loser that handed its undo to a pending sweep has either
-  // completed its undo or its page was claimed above; a robbed loser has posted its
-  // RaiseClaimed compensation; a stale speculative install that re-surfaced a
-  // just-swept page fails validation against the bumped seqcount and undoes inside
-  // the barrier); the second pass erases anything those stragglers re-enqueued or
-  // raised. Afterwards no page survives in any range unmapped (or DONTNEED'd) before
-  // this call began. The barrier doubles as the tombstones' grace period: every
-  // tombstone settled before it can have no late thief left, so purge those outright
-  // instead of waiting for the flusher's ticket — this keeps the invariant checker's
-  // orphan tolerance (CoversPending) from masking ranges that are in fact settled.
-  std::vector<uint64_t> cut(stripes_, 0);
-  for (unsigned i = 0; i < stripes_; ++i) {
-    FlushSweeps(i);
-    cut[i] = sweeps_[i].value.NewestFinishedBatch();
-  }
+  // Every sweep already ran inside its Munmap/MadviseDontNeed; what can still hold a
+  // page in a dead range is a speculative fault between its install and its undo. The
+  // epoch barrier waits out every fault in flight (each runs inside an epoch quantum),
+  // so afterwards no such install survives.
   EpochDomain::ThreadRec* rec = CurrentThreadRec(EpochDomain::Global());
   EpochDomain::QuiesceQuantum(rec);
   EpochDomain::Global().Barrier(rec);
-  for (unsigned i = 0; i < stripes_; ++i) {
-    FlushSweeps(i);
-    sweeps_[i].value.PurgeFinishedUpTo(cut[i]);
-  }
-}
-
-uint64_t AddressSpace::PendingSweepPages() const {
-  uint64_t n = 0;
-  for (unsigned i = 0; i < stripes_; ++i) {
-    n += sweeps_[i].value.PendingPages();
-  }
-  return n;
-}
-
-void AddressSpace::SetSweepFlushThreshold(uint64_t pages) {
-  for (unsigned i = 0; i < stripes_; ++i) {
-    sweeps_[i].value.SetFlushThreshold(pages);
-  }
-}
-
-void AddressSpace::SetRetireFlushThreshold(std::size_t n) {
-  for (unsigned i = 0; i < stripes_; ++i) {
-    index_.Stripe(i).SetRetireFlushThreshold(n);
-  }
 }
 
 AddressSpace::RangeClass AddressSpace::ClassifyStructuralRange(uint64_t s, uint64_t e,
@@ -878,12 +729,6 @@ bool AddressSpace::PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_a
       stats_.stripe(index_.IndexOf(page_addr))
           .major_faults.fetch_add(1, std::memory_order_relaxed);
     }
-    if (deferred_sweeps_) {
-      // The page is (re-)validated present under a mapping: punch it out of any
-      // still-pending DONTNEED sweep so the deferred erase cannot undo this fault
-      // (the madvise/fault repopulation contract — see SweepQueue::CancelPending).
-      sweeps_[index_.IndexOf(page_addr)].value.CancelPending(page);
-    }
   } else {
     stats_.fault_errors.fetch_add(1, std::memory_order_relaxed);
   }
@@ -914,9 +759,8 @@ bool AddressSpace::PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_a
 //               and the faulting address share a stripe — the per-stripe restatement
 //               of the PR 4 ordering argument.)
 //   undo/retry/fallback — a failed validation removes the page this fault installed
-//               (spurious removal of a concurrent fault's identical install is benign:
-//               it is indistinguishable from MADV_DONTNEED and the next touch
-//               reinstalls) and retries; gaps and exhausted budgets degrade to the
+//               (ticket-exact: never a page a winning fault re-installed after a sweep
+//               erased ours) and retries; gaps and exhausted budgets degrade to the
 //               trylock-first locked path, whose page-range read lock excludes every
 //               writer of the faulting page and can adjudicate negatives exactly.
 //
@@ -1003,7 +847,7 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
       vma->present_hint.fetch_add(1, std::memory_order_relaxed);
       // Pairs with the fence in ApplyMunmapLocked: orders the hint increment above
       // before the seqcount load in ValidateSeq below. Either a racing munmap's hint
-      // read sees the increment (its sweep bound covers this install), or this
+      // read sees the increment (its sweep erases this install), or this
       // validation sees its seqcount bump and the fault loses. Locked faults need no
       // fence — the range lock orders them against munmap wholesale.
       SeqCstFence();
@@ -1028,34 +872,18 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
     }
     if (!stripe.ValidateSeq(iseq) || vma->Detached()) {
       if (installed) {
-        if (test_undo_sweep_check_) {
-          // Deferred-sweep-aware undo. A pending sweep covering the page hands the
-          // erase to the flusher: the sweep was enqueued (queue lock) before this
-          // check read it, so the flusher's claim — and therefore its erase — is
-          // ordered after our install; removing here too would be a double undo
-          // window. Handing off also raises the range's expected bound by one (our
-          // install happened after the munmap summed the hints, so the bound may not
-          // count it — the bounded probe must not stop short of our page). No pending
-          // sweep means any covering sweep was already claimed and may have erased
-          // our install and let a winning fault re-install the page — RemoveExact
-          // removes only our own install (ticket match), never the winner's, and the
-          // hint is decremented only when we actually removed. When RemoveExact finds
-          // the page already gone, a claimed sweep erased our transient install — and
-          // if its probe was budget-bounded, the unit it spent on us was meant for a
-          // real dead page that may now sit past the probe's stop point. RaiseClaimed
-          // re-arms the claimed range's unprobed tail with one budget unit; a miss
-          // means the erasing probe ran to completion, which leaves no survivors.
-          if (!sweeps_[si].value.DeferUndoToPending(page)) {
-            if (pages_.RemoveExact(page, ticket)) {
-              vma->present_hint.fetch_sub(1, std::memory_order_relaxed);
-            } else {
-              sweeps_[si].value.RaiseClaimed(page);
-            }
+        if (test_exact_undo_) {
+          // Remove only our own install. A Munmap/MadviseDontNeed sweep may already
+          // have erased it and let a winning fault re-install the page; RemoveExact
+          // leaves the winner's install (a different ticket) alone, and the hint is
+          // decremented only when we actually removed.
+          if (pages_.RemoveExact(page, ticket)) {
+            vma->present_hint.fetch_sub(1, std::memory_order_relaxed);
           }
         } else {
-          // TEST-ONLY pre-deferral blind undo (TestOnlySetUndoSweepCheck(false)): can
-          // erase a winner's re-install after a sweep flushed ours — the stale-absence
-          // the extended fault-vs-unmap oracle exists to catch.
+          // TEST-ONLY blind undo (TestOnlySetExactUndo(false)): can erase a winner's
+          // re-install after a sweep erased ours — the stale-absence the fault-vs-unmap
+          // oracle exists to catch.
           pages_.Remove(page);
           vma->present_hint.fetch_sub(1, std::memory_order_relaxed);
         }
@@ -1066,16 +894,6 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
     }
     if (installed) {
       sstats.major_faults.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (deferred_sweeps_) {
-      // WINNING fault only: the unchanged seqcount proves the mapping stayed live
-      // from walk through validate, so any still-pending sweep covering this page is
-      // a DONTNEED on the live mapping — punch the page out so the deferred erase
-      // cannot undo a fault that completed after the madvise call (the repopulation
-      // contract; see SweepQueue::CancelPending). A LOSER must not cancel: its stale
-      // walk may have found the VMA a munmap just unlinked, and cancelling there
-      // would disarm the munmap's own sweep and strand a pre-munmap install.
-      sweeps_[si].value.CancelPending(page);
     }
     sstats.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
     return 1;
@@ -1128,20 +946,11 @@ bool AddressSpace::MadviseDontNeed(uint64_t addr, uint64_t length) {
     return false;  // wrapped range
   }
   // MADV_DONTNEED runs under the read acquisition in the kernel: it only drops pages.
-  // Deferred mode enqueues the drop instead (see the header for the exact contract —
-  // only pre-call installs are guaranteed gone, and only once the sweep flushes). No
-  // present_hint is decremented: the hint is an upper bound and only a fault's own
+  // No present_hint is decremented: the hint is an upper bound and only a fault's own
   // exact undo may lower it.
   void* h = lock_->LockRead(refine_fault_ ? Range{s, e} : Range::Full());
-  if (deferred_sweeps_) {
-    EnqueueSweepRange(s, e);
-  } else {
-    pages_.RemoveRange(s / kPageSize, e / kPageSize);
-  }
+  pages_.RemoveRange(s / kPageSize, e / kPageSize);
   lock_->UnlockRead(h);
-  if (deferred_sweeps_) {
-    MaybeFlushSweeps(index_.IndexOf(s));
-  }
   return true;
 }
 
@@ -1159,10 +968,6 @@ std::vector<VmaInfo> AddressSpace::SnapshotVmas() {
 }
 
 bool AddressSpace::CheckInvariants(bool strict_present_counts) {
-  // Settle the deferred sweeps BEFORE taking the full write lock: DrainSweeps runs an
-  // epoch barrier, and a barrier under the lock could stall every other operation for
-  // the force-quiesce watchdog period.
-  DrainSweeps();
   void* h = lock_->LockFullWrite();
   bool ok = index_.ValidateStructure();
   uint64_t prev_end = 0;
@@ -1189,15 +994,12 @@ bool AddressSpace::CheckInvariants(bool strict_present_counts) {
     prev_end = ve;
   }
   if (ok) {
-    // No page may be present outside a mapped VMA — unless a sweep enqueued since the
-    // drain above (a concurrent unmapper) still covers it, in which case it is dead
-    // but not yet swept, which the drain-barrier contract allows.
+    // No page may be present outside a mapped VMA.
     std::vector<uint64_t> suspects;
     for (uint64_t page : pages_.AllPages()) {
       const uint64_t a = page * kPageSize;
       Vma* v = index_.Find(a, 0, last);
-      if ((v == nullptr || v->Start() > a) &&
-          !sweeps_[index_.IndexOf(a)].value.CoversPending(page)) {
+      if (v == nullptr || v->Start() > a) {
         suspects.push_back(page);
       }
     }
@@ -1207,20 +1009,18 @@ bool AddressSpace::CheckInvariants(bool strict_present_counts) {
       // install→validate→undo window, which preemption can stretch across this
       // entire scan — and our full write lock does not order lock-free faults.
       // Settle instead of flaking: drop the lock, drain (the barrier waits out every
-      // such fault and the second flush applies any undo or RaiseClaimed
-      // compensation it posted), and re-examine only the recorded suspects. A real
-      // leak survives the drain and still fails.
+      // such fault), and re-examine only the recorded suspects. A real leak survives
+      // the drain and still fails.
       lock_->UnlockWrite(h);
       DrainSweeps();
       h = lock_->LockFullWrite();
       for (uint64_t page : suspects) {
         if (pages_.CountRange(page, page + 1) == 0) {
-          continue;  // the loser undid it (or a sweep caught it): transient, fine
+          continue;  // the loser undid it: transient, fine
         }
         const uint64_t a = page * kPageSize;
         Vma* v = index_.Find(a, 0, last);
-        if ((v == nullptr || v->Start() > a) &&
-            !sweeps_[index_.IndexOf(a)].value.CoversPending(page)) {
+        if (v == nullptr || v->Start() > a) {
           ok = false;
           break;
         }

@@ -58,9 +58,6 @@
 #include <string>
 #include <vector>
 
-#include "src/epoch/epoch_domain.h"
-#include "src/epoch/sweep_queue.h"
-#include "src/sync/spin_lock.h"
 #include "src/vm/page_table.h"
 #include "src/vm/vm_lock.h"
 #include "src/vm/vm_stats.h"
@@ -143,19 +140,13 @@ class AddressSpace {
   // Unmaps [addr, addr+length). Splits partially covered VMAs, exactly like the kernel.
   // Returns false if the range touches no mapping.
   //
-  // The VMA unlink and the stripe-seqcount bump are always synchronous (they are the
-  // fence the speculative-fault ordering argument needs); the page-table sweep is, by
-  // default, deferred to the per-stripe SweepQueue and flushed at operation boundaries
-  // once the queue crosses its threshold — the kernel's TLB-batching shape. With
-  // SetDeferredSweeps(false) the sweep runs inline under the write lock (the pre-
-  // deferral behaviour; bench/abl_async_unmap compares the two).
+  // The VMA unlink, the stripe-seqcount bump and the page-table sweep all happen under
+  // the write acquisition, in that order: every page installed in [addr, addr+length)
+  // before the call is gone when it returns. A speculative fault racing the call may
+  // install a page transiently, but it then fails validation against the bumped
+  // seqcount and removes its own install (DrainSweeps waits such faults out). The sweep
+  // is skipped outright when every touched VMA's present_hint is zero.
   bool Munmap(uint64_t addr, uint64_t length);
-
-  // As Munmap, but never flushes: the dead range is enqueued and the call returns with
-  // the sweep wholly outstanding, to be paid by a later threshold flush or a
-  // DrainSweeps. Defers even when SetDeferredSweeps(false) — this entry point IS the
-  // async request. Use when unmap latency matters more than page-table tightness.
-  bool MunmapAsync(uint64_t addr, uint64_t length);
 
   // Changes protection of [addr, addr+length). Returns false if the range is not fully
   // covered by existing mappings (ENOMEM in the kernel).
@@ -176,37 +167,21 @@ class AddressSpace {
 
   // MADV_DONTNEED semantics: drops the pages of [addr, addr+length) so the next touch
   // faults again. Used by the arena allocator's trim path (glibc frees trimmed pages).
-  // Runs under a read acquisition like the kernel's madvise. Under deferred sweeps the
-  // drop is enqueued, not immediate: pages installed before the call are guaranteed
-  // gone only after the covering sweep flushes (DrainSweeps gives the hard edge), and
-  // a fault racing the call may legitimately re-install a page afterwards — the same
-  // contract Linux gives a fault racing madvise(MADV_DONTNEED).
+  // Runs under a read acquisition like the kernel's madvise, and sweeps inline: every
+  // page installed before the call is gone when it returns. A fault racing the call may
+  // legitimately re-install a page afterwards — the contract Linux gives a fault racing
+  // madvise(MADV_DONTNEED).
   bool MadviseDontNeed(uint64_t addr, uint64_t length);
 
-  // --- Deferred-sweep control -----------------------------------------------------
-
-  // Default on: Munmap/MadviseDontNeed enqueue their page sweeps (see Munmap). Off
-  // restores the inline sweep under the range acquisition.
-  void SetDeferredSweeps(bool on) { deferred_sweeps_ = on; }
-  bool DeferredSweeps() const { return deferred_sweeps_; }
-
-  // Pages a stripe's queue accumulates before an operation boundary flushes it.
-  void SetSweepFlushThreshold(uint64_t pages);
-  // Batch size of the per-stripe VMA retire lists (SharedRetireList); forwarded to
-  // every stripe. Exposed alongside the sweep threshold because both were originally
-  // fixed constants guessed on one core.
-  void SetRetireFlushThreshold(std::size_t n);
-
-  // Drain barrier: flushes every stripe's queue, waits out every in-flight fault (an
-  // epoch barrier — a losing fault that handed its undo to a pending sweep, or a stale
-  // walker resurrecting a just-swept page, completes or undoes inside it), then
-  // flushes again. Afterwards no page survives in any unmapped or DONTNEED'd range —
-  // the deferred-sweep restatement of the fault-vs-unmap batteries' invariant. Call
-  // holding no locks or ranges.
+  // Fault barrier: waits out every fault in flight (an epoch quiesce + barrier). A
+  // speculative fault that lost the race to a Munmap/MadviseDontNeed holds a transient
+  // install until it validates and undoes; after this call no such install survives in
+  // any range unmapped before the call began. Call holding no locks or ranges.
   void DrainSweeps();
 
-  // Pages enqueued and not yet swept, summed over stripes (racy; tests/benches).
-  uint64_t PendingSweepPages() const;
+  // Sweeps never wait in a queue; always 0. Kept for callers that sample it before
+  // DrainSweeps.
+  uint64_t PendingSweepPages() const { return 0; }
 
   // Extension of the paper's §5.2 closing remark (left as future work there): munmap
   // "starts from calling find_vma, during which the range lock can be held in the read
@@ -237,9 +212,9 @@ class AddressSpace {
 
   std::vector<VmaInfo> SnapshotVmas();
   // VMAs sorted, non-overlapping, page-aligned, trees structurally valid, no VMA
-  // straddling a stripe-window edge, and no page present outside a mapped VMA (modulo
-  // pages a still-pending sweep covers). Runs DrainSweeps first so the page-table view
-  // is consistent. With `strict_present_counts` (the default — sequential callers),
+  // straddling a stripe-window edge, and no page present outside a mapped VMA (a page
+  // found there is re-checked after a DrainSweeps, so a losing fault's transient install
+  // is not condemned). With `strict_present_counts` (the default — sequential callers),
   // additionally asserts every VMA's present_hint is a sound upper bound on its
   // CountRange and resyncs the hint to the exact count; callers racing live faulters
   // (the concurrent fuzz checker) must pass false, because in-flight installs make the
@@ -247,7 +222,7 @@ class AddressSpace {
   bool CheckInvariants(bool strict_present_counts = true);
   std::size_t PresentPages() const { return pages_.Count(); }
   // Present pages within [addr, addr+length) — lock-free racy count (the fault-vs-unmap
-  // batteries assert this drains to zero, post-DrainSweeps, for unmapped, never-reused
+  // batteries assert this reads zero, post-DrainSweeps, for unmapped, never-reused
   // ranges). An empty range counts zero pages even when addr is mid-page (the
   // PageDown/PageUp mix used to widen length == 0 to a full page).
   std::size_t PresentPagesInRange(uint64_t addr, uint64_t length) const {
@@ -270,14 +245,13 @@ class AddressSpace {
     test_spec_window_yields_ = window_yields;
   }
 
-  // With deferred sweeps, the losing-fault undo must consult the sweep queue and use
-  // its install ticket (see PageFaultOptimistic): a pending sweep covering the page
-  // makes the undo the flusher's job, and an already-claimed sweep may have erased and
-  // let a winning fault re-install the page — which a blind Remove would destroy,
+  // A losing speculative fault undoes only its OWN install (PageTable::RemoveExact with
+  // the install ticket): a Munmap/MadviseDontNeed sweep may already have erased it and
+  // let a winning fault re-install the page, which a blind Remove would destroy —
   // driving the winner's VMA present_hint below the true count. `false` reverts to the
-  // pre-deferral blind undo (Remove + unconditional hint decrement) so the extended
-  // fault-vs-unmap oracle can demonstrate it catches the missing check. Tests only.
-  void TestOnlySetUndoSweepCheck(bool on) { test_undo_sweep_check_ = on; }
+  // blind undo (Remove + unconditional hint decrement) so the fault-vs-unmap oracle can
+  // demonstrate it catches the missing ticket check. Tests only.
+  void TestOnlySetExactUndo(bool on) { test_exact_undo_ = on; }
 
   // Deterministic interleaving gate for the install→validate window: the NEXT
   // speculative fault to install a page consumes the (one-shot) token, flags itself
@@ -353,31 +327,11 @@ class AddressSpace {
 
   // Munmap mutation loop; caller holds a write acquisition covering [s-pg, e+pg) (or
   // the full range) and the mutation locks of stripes [lo, hi], which cover the range.
-  // Sets *expected_present to the saturating sum of the clipped/erased VMAs'
-  // present_hints — a proven upper bound on pages still installed in [s, e). Zero
-  // means the unmap skips the page sweep entirely; a finite value bounds the deferred
-  // flusher's probe (SweepQueue::Range::expected).
+  // Sets *populated when any clipped/erased VMA has a non-zero present_hint. The hint
+  // is an upper bound on the VMA's installed pages, so false proves [s, e) holds no page
+  // and the unmap skips the page sweep entirely.
   bool ApplyMunmapLocked(uint64_t s, uint64_t e, unsigned lo, unsigned hi,
-                         uint64_t* expected_present);
-
-  // Shared Munmap/MunmapAsync body; `flush_policy` selects inline sweep, deferred
-  // sweep with threshold flush, or pure enqueue (async).
-  enum class SweepPolicy { kInline, kDeferred, kAsync };
-  bool MunmapImpl(uint64_t addr, uint64_t length, SweepPolicy policy);
-
-  // Splits the page-aligned byte range [s, e) at stripe-window edges and enqueues each
-  // piece on its stripe's sweep queue (counting stats); every piece carries the full
-  // `expected` present-page bound (an upper bound for each). Caller may hold range
-  // locks — enqueueing never sweeps.
-  void EnqueueSweepRange(uint64_t s, uint64_t e,
-                         uint64_t expected = SweepQueue::kUnbounded);
-
-  // Claims and sweeps stripe `si`'s queue. Call holding no locks or ranges.
-  void FlushSweeps(unsigned si);
-  // Threshold-gated FlushSweeps — one relaxed load when below threshold. The
-  // "epoch-tick" of the design: called at operation boundaries, where the caller
-  // holds no locks and (for fault paths) sits between epoch quantums.
-  void MaybeFlushSweeps(unsigned si);
+                         bool* populated);
 
   // Full-path mprotect body; same caller contract as ApplyMunmapLocked. Returns false
   // on uncovered ranges.
@@ -404,9 +358,8 @@ class AddressSpace {
   bool refine_mprotect_;
   bool scoped_structural_;
   bool speculate_unmap_lookup_ = false;
-  bool deferred_sweeps_ = true;
   bool test_validate_before_install_ = false;  // test-only; see the hook above
-  bool test_undo_sweep_check_ = true;          // test-only; see the hook above
+  bool test_exact_undo_ = true;                // test-only; see the hook above
   uint32_t test_spec_window_yields_ = 0;
   std::atomic<uint32_t> test_spec_park_pending_{0};  // test-only park gate, see above
   std::atomic<bool> test_spec_parked_{false};
@@ -419,24 +372,6 @@ class AddressSpace {
   // Per-stripe mmap cursors, cache-line padded: mmaps from different home stripes
   // bounce no shared line (the PR 4 cursor was one global atomic).
   std::unique_ptr<CacheAligned<std::atomic<uint64_t>>[]> cursors_;
-  // Per-stripe deferred-sweep queues, same ownership shape as the stripes' retire
-  // lists: a page range's queue is its stripe's, so stripe-confined churn flushes
-  // without touching (or locking) another stripe's queue.
-  std::unique_ptr<CacheAligned<SweepQueue>[]> sweeps_;
-  // Per-stripe tombstone GC: budget-exhausted sweeps leave tombstones in their queue
-  // (see SweepQueue::FinishClaimed) that must outlive every fault in flight when they
-  // settled — any of those could be a robbed loser still owing a RaiseClaimed. One
-  // grace ticket per stripe covers every settled batch up to `hi`; when it elapses
-  // (non-blocking poll on the next flush) those batches purge for free. `batch` hands
-  // each flush its monotone stamp.
-  struct SweepGc {
-    SpinLock lock;
-    EpochDomain::GraceTicket ticket;
-    uint64_t hi = 0;
-    bool armed = false;
-    std::atomic<uint64_t> batch{0};
-  };
-  std::unique_ptr<CacheAligned<SweepGc>[]> sweep_gc_;
 };
 
 }  // namespace srl::vm

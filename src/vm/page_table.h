@@ -77,8 +77,8 @@ class PageTable {
   }
 
   // Drops one page; returns true if it was present. Blind removal: whatever install
-  // currently backs the page is erased, including another thread's. Only the broken-
-  // undo test hook still uses this on the fault path; see RemoveExact.
+  // currently backs the page is erased, including another thread's. Only the blind-
+  // undo test hook uses this on the fault path; see RemoveExact.
   bool Remove(uint64_t page_index) {
     Shard& s = ShardFor(page_index);
     std::lock_guard<SpinLock> g(s.lock);
@@ -87,8 +87,8 @@ class PageTable {
 
   // Drops the page only if it is still backed by the install that produced `ticket`.
   // The speculative fault path uses this to undo ITS OWN install after a failed
-  // validation: with deferred sweeps, the page it installed may already have been
-  // swept and re-installed by a racing (winning) fault — a blind Remove would erase
+  // validation: the page it installed may already have been swept by a racing munmap
+  // or MADV_DONTNEED and re-installed by a winning fault — a blind Remove would erase
   // the winner's page and corrupt its VMA's present-page accounting.
   bool RemoveExact(uint64_t page_index, uint64_t ticket) {
     Shard& s = ShardFor(page_index);
@@ -125,65 +125,25 @@ class PageTable {
     return n;
   }
 
-  // Drops pages in [first_page, last_page), returning how many were present. A wide
-  // range sweeps only the shard groups of the stripes the range covers — a
-  // stripe-confined munmap never touches (or locks) another stripe's shards.
-  // `max_present` is the caller's proven upper bound on pages present in the range
-  // (a dying VMA's present_hint sum): once that many have been erased, no more can
-  // exist and the probe stops — a sparsely-faulted region costs its installs, not
-  // its size. Pass the default when no bound is known.
-  //
-  // `resume` (optional) reports where the probe stopped: after a full walk it is
-  // `last_page`; after an early budget stop it is the bound below which every page
-  // has provably been probed — anything the caller's bound failed to cover can only
-  // survive in [*resume, last_page). The narrow path erases in ascending page order
-  // so its stop point is exact; the wide path visits shards out of page order, so an
-  // early stop there reports `first_page` (the whole range stays suspect).
-  std::size_t RemoveRange(uint64_t first_page, uint64_t last_page,
-                          uint64_t max_present = UINT64_MAX,
-                          uint64_t* resume = nullptr) {
-    std::size_t erased = 0;
-    if (resume != nullptr) {
-      *resume = first_page;
-    }
-    if (max_present == 0) {
-      return 0;
-    }
+  // Drops pages in [first_page, last_page). A wide range sweeps only the shard groups
+  // of the stripes the range covers — a stripe-confined munmap never touches (or
+  // locks) another stripe's shards.
+  void RemoveRange(uint64_t first_page, uint64_t last_page) {
     if (last_page - first_page <= 4096) {
       // Narrow ranges (the common arena-trim case): erase page by page.
       for (uint64_t p = first_page; p < last_page; ++p) {
         Shard& s = ShardFor(p);
         std::lock_guard<SpinLock> g(s.lock);
-        if (s.pages.erase(p) != 0 && ++erased == max_present) {
-          if (resume != nullptr) {
-            *resume = p + 1;
-          }
-          return erased;
-        }
+        s.pages.erase(p);
       }
-      if (resume != nullptr) {
-        *resume = last_page;
-      }
-      return erased;
+      return;
     }
     for (const std::size_t i : ShardsCovering(first_page, last_page)) {
       std::lock_guard<SpinLock> g(shards_[i].value.lock);
-      auto& pages = shards_[i].value.pages;
-      for (auto it = pages.begin(); it != pages.end();) {
-        if (it->first >= first_page && it->first < last_page) {
-          it = pages.erase(it);
-          if (++erased == max_present) {
-            return erased;  // unordered scan: *resume stays first_page
-          }
-        } else {
-          ++it;
-        }
-      }
+      std::erase_if(shards_[i].value.pages, [&](const auto& entry) {
+        return entry.first >= first_page && entry.first < last_page;
+      });
     }
-    if (resume != nullptr) {
-      *resume = last_page;
-    }
-    return erased;
   }
 
   std::size_t Count() const {

@@ -32,7 +32,6 @@ struct VmStripeStats {
   std::atomic<uint64_t> fault_spec_retry{0};   // speculative attempts retried (same-stripe churn)
   std::atomic<uint64_t> find_retries{0};       // optimistic walks of this stripe's tree retried
   std::atomic<uint64_t> mmap_overflow{0};      // mmaps that overflowed INTO this stripe
-  std::atomic<uint64_t> sweep_flushes{0};      // deferred-sweep flushes of this stripe's queue
 };
 
 struct VmStats {
@@ -64,16 +63,9 @@ struct VmStats {
   // Optimistic mm_rb walks (VmaStripe::FindOptimistic) that overlapped a structural
   // mutation and retried.
   std::atomic<uint64_t> find_retries{0};
-  // Deferred page sweeps (see README "Deferred page sweeps"): dead page ranges queued
-  // instead of swept inline, enqueues that coalesced with already-queued ranges, pages
-  // actually erased by the flusher, flush passes run, and sweeps skipped outright
-  // because the dying VMA's present-page hint proved it never faulted a page.
-  std::atomic<uint64_t> sweeps_queued{0};         // ranges enqueued
-  std::atomic<uint64_t> sweeps_queued_pages{0};   // pages enqueued (pre-coalescing)
-  std::atomic<uint64_t> sweeps_coalesced{0};      // pre-existing ranges absorbed
-  std::atomic<uint64_t> sweeps_swept_pages{0};    // pages erased by flushes
-  std::atomic<uint64_t> sweeps_flushes{0};        // flush passes (claim + sweep)
-  std::atomic<uint64_t> sweeps_skipped_empty{0};  // empty-VMA sweeps skipped
+  // Munmaps that skipped the page sweep outright because every dying VMA's
+  // present-page hint proved it never faulted a page (see README "Page sweeps").
+  std::atomic<uint64_t> sweeps_skipped_empty{0};
 
   // --- Per-stripe slices (sized by AddressSpace at construction) ---
 

@@ -64,11 +64,11 @@ struct Vma {
   // Upper bound on the pages of [start, end) present in the page table. Every install
   // attributed to this VMA increments it; the only decrement is a losing speculative
   // fault exactly undoing its own install (RemoveExact success), so the bound can only
-  // inflate — deferred sweeps and MADV_DONTNEED drop pages without decrementing, and a
+  // inflate — munmap and MADV_DONTNEED sweeps drop pages without decrementing, and a
   // split copies the parent's value to the new piece. AddressSpace uses hint == 0 to
-  // skip enqueueing sweeps for VMAs that never faulted a page (sound because the bound
+  // skip the munmap sweep for VMAs that never faulted a page (sound because the bound
   // never under-counts), asserts hint >= CountRange(start, end) in CheckInvariants,
-  // and resyncs it to the exact count there (post-drain, under the full write lock).
+  // and resyncs it to the exact count there (under the full write lock).
   std::atomic<uint64_t> present_hint{0};
 
   uint64_t Start() const { return start.load(std::memory_order_relaxed); }

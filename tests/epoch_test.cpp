@@ -627,7 +627,7 @@ TEST(ReclamationDerivationTest, ConstantsFollowCoreCount) {
   EXPECT_EQ(RetireList::FlushThreshold(), std::clamp<std::size_t>(1024 / hw, 64, 256));
   EXPECT_EQ(RetireList::MaxParkedBatches(),
             std::clamp<std::size_t>(16 * hw, 64, 512));
-  EXPECT_EQ(SharedRetireList::DefaultFlushThreshold(), RetireList::FlushThreshold());
+  EXPECT_EQ(SharedRetireList::FlushThreshold(), RetireList::FlushThreshold());
   EXPECT_EQ(SharedRetireList::MaxParkedBatches(), RetireList::MaxParkedBatches());
   EXPECT_EQ((NodePool<LNode>::DecayQuietRefills()), std::max<std::size_t>(8, hw));
   const std::chrono::nanoseconds quiesce = EpochDomain::DefaultForceQuiesceAfter();

@@ -63,9 +63,6 @@ TEST(ArenaAllocatorTest, ResetShrinksAndDropsPages) {
   EXPECT_GT(committed_before, 4 * kPage);
   arena.Reset();
   EXPECT_EQ(arena.CommittedBytes(), 4 * kPage);
-  // The trim's page drop is deferred (sweep queue); settle it so the regrowth below
-  // observes dropped pages rather than re-validating still-present ones.
-  as.DrainSweeps();
   // Regrowth faults again (pages were dropped).
   const uint64_t mf_before = as.Stats().MajorFaults();
   for (int i = 0; i < 30; ++i) {

@@ -164,9 +164,8 @@ TEST_P(VmFaultUnmapRaceTest, FaultVsUnmapOracle) {
       // halves (second-half outcomes must stay exact throughout).
       g.retiring_head.store(true, std::memory_order_seq_cst);
       ASSERT_TRUE(as.Munmap(g.base, (g.pages / 2) * kPage)) << "generation " << i;
-      // Deferred sweeps move the drain edge from "Munmap returned" to "the covering
-      // sweep flushed": DrainSweeps is that edge. A straggler fault in flight at the
-      // drain may still transiently re-install, but must undo — EventuallyTrue.
+      // Munmap swept the range before returning. A straggler fault in flight may still
+      // transiently re-install, but must undo: DrainSweeps waits it out.
       as.DrainSweeps();
       EXPECT_TRUE(srl::testing::EventuallyTrue([&] {
         return as.PresentPagesInRange(g.base, (g.pages / 2) * kPage) == 0;
@@ -219,10 +218,6 @@ TEST_P(VmFaultUnmapRaceTest, BrokenValidateBeforeInstallIsCaught) {
 
   auto run_leg = [&](bool validate_before_install) {
     AddressSpace as(GetParam().variant, GetParam().stripes);
-    // Inline sweeps: this leg demonstrates the PRE-deferral ordering bug, where the
-    // drain edge is Munmap's return itself. (BrokenUndoSweepCheckIsCaught below is the
-    // deferred-sweep counterpart.)
-    as.SetDeferredSweeps(false);
     as.TestOnlySetSpecFaultOrdering(validate_before_install, kWindowYields);
     std::atomic<uint64_t> pub_base{0};
     std::atomic<bool> stop{false};
@@ -274,21 +269,19 @@ TEST_P(VmFaultUnmapRaceTest, BrokenValidateBeforeInstallIsCaught) {
       << "correct install-before-validate ordering left a stale page behind";
 }
 
-// Deferred-sweep extension of the oracle: the losing-fault undo must consult the sweep
-// queue and remove only its OWN install (ticket-exact). The interleaving that needs it:
+// Undo extension of the oracle: the losing-fault undo must remove only its OWN install
+// (ticket-exact). The interleaving that needs it:
 //
-//   loser L installs P (ticket t1)  →  DONTNEED enqueues P  →  the flusher claims and
-//   erases P  →  winner W re-installs P (ticket t2)  →  L's validation fails and it
-//   undoes.
+//   loser L installs P (ticket t1)  →  DONTNEED erases P  →  winner W re-installs P
+//   (ticket t2)  →  L's validation fails and it undoes.
 //
-// A blind `Remove(P)` undo — the pre-deferral code — destroys W's install: P reads
-// absent although the last settled operation on it was W's successful fault, the
-// stale-ABSENCE mirror of the stale-page bug. The correct undo either defers to a
-// still-pending sweep or calls RemoveExact(P, t1), which cannot touch t2. Each
-// generation forces that interleaving with the deterministic park gate: L parks
+// A blind `Remove(P)` undo destroys W's install: P reads absent although the last
+// settled operation on it was W's successful fault, the stale-ABSENCE mirror of the
+// stale-page bug. The correct undo calls RemoveExact(P, t1), which cannot touch t2.
+// Each generation forces that interleaving with the deterministic park gate: L parks
 // between install and validate (TestOnlyParkNextSpecFault) while the main thread
-// bumps the stripe seqcount (scratch mmap, making L a loser), flushes L's install
-// (threshold-1 DONTNEED), re-installs as the winner, then flips the arena read-only
+// bumps the stripe seqcount (scratch mmap, making L a loser), erases L's install (the
+// DONTNEED sweeps inline), re-installs as the winner, then flips the arena read-only
 // so L's retry is denied rather than repairing the damage with a fresh install. Only
 // then is L released. The broken leg must observe vanished winner pages in nearly
 // every generation (the gate leaves no timing luck to hope for); the correct leg must
@@ -299,12 +292,9 @@ TEST_P(VmFaultUnmapRaceTest, BrokenUndoSweepCheckIsCaught) {
   }
   constexpr int kGenerations = 50;
 
-  auto run_leg = [&](bool undo_sweep_check) {
+  auto run_leg = [&](bool exact_undo) {
     AddressSpace as(GetParam().variant, GetParam().stripes);
-    as.TestOnlySetUndoSweepCheck(undo_sweep_check);
-    // Every enqueue crosses the threshold, so MadviseDontNeed flushes its own sweep
-    // before returning — the flusher runs exactly between L's install and undo.
-    as.SetSweepFlushThreshold(1);
+    as.TestOnlySetExactUndo(exact_undo);
     int stale_generations = 0;
     for (int i = 0; i < kGenerations; ++i) {
       const uint64_t arena = as.MmapInStripe(0, kPage, kProtRead | kProtWrite);
@@ -322,7 +312,7 @@ TEST_P(VmFaultUnmapRaceTest, BrokenUndoSweepCheckIsCaught) {
         continue;
       }
       as.MmapInStripe(0, kPage, kProtRead | kProtWrite);  // seq bump: L must lose
-      as.MadviseDontNeed(arena, kPage);   // enqueue + immediate flush erases L's install
+      as.MadviseDontNeed(arena, kPage);   // erases L's install in-call
       as.PageFault(arena, true);          // winner re-install (fresh ticket)
       as.Mprotect(arena, kPage, kProtRead);  // deny L's retry attempts
       as.TestOnlyReleaseParkedFault();
@@ -336,11 +326,11 @@ TEST_P(VmFaultUnmapRaceTest, BrokenUndoSweepCheckIsCaught) {
     return stale_generations;
   };
 
-  EXPECT_GT(run_leg(/*undo_sweep_check=*/false), 0)
+  EXPECT_GT(run_leg(/*exact_undo=*/false), 0)
       << "the battery failed to catch the reverted (blind) losing-fault undo — the "
-         "sweep-queue check has lost its teeth";
-  EXPECT_EQ(run_leg(/*undo_sweep_check=*/true), 0)
-      << "the ticket-exact, sweep-queue-aware undo removed a winning fault's install";
+         "ticket check has lost its teeth";
+  EXPECT_EQ(run_leg(/*exact_undo=*/true), 0)
+      << "the ticket-exact undo removed a winning fault's install";
 }
 
 INSTANTIATE_TEST_SUITE_P(

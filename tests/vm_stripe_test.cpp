@@ -173,7 +173,6 @@ TEST(VmStripeTest, CrossStripeMunmapFallsBackAndUnmapsBothSides) {
   ASSERT_EQ(vmas.size(), 2u);
   EXPECT_EQ(vmas[0], (VmaInfo{a, b - 2 * kPage, prot}));
   EXPECT_EQ(vmas[1], (VmaInfo{b + 2 * kPage, b + 8 * kPage, prot}));
-  as.DrainSweeps();  // the deferred sweep is the post-munmap drain edge
   EXPECT_EQ(as.PresentPagesInRange(b - 2 * kPage, 4 * kPage), 0u)
       << "cross-stripe munmap left pages behind";
   EXPECT_FALSE(as.PageFault(b, false)) << "unmapped head half still faults in";

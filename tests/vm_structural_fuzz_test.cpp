@@ -165,9 +165,7 @@ TEST_P(VmStructuralFuzzTest, SequentialMixMatchesOracle) {
     }
   }
 
-  // Final deep check: the VMA snapshot must tile exactly the oracle's pages. Deferred
-  // sweeps move the oracle's drain edge to the flush, so settle them first.
-  as.DrainSweeps();
+  // Final deep check: the VMA snapshot must tile exactly the oracle's pages.
   std::map<uint64_t, uint32_t> from_vmas;
   for (const VmaInfo& v : as.SnapshotVmas()) {
     for (uint64_t p = v.start / kPage; p < v.end / kPage; ++p) {

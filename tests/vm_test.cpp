@@ -59,32 +59,9 @@ TEST_P(VmSemanticsTest, MunmapDropsPages) {
   EXPECT_TRUE(as_.PageFault(a + kPage, true));
   EXPECT_EQ(as_.PresentPages(), 2u);
   EXPECT_TRUE(as_.Munmap(a, 4 * kPage));
-  // The unlink is synchronous but the page sweep is deferred by default; DrainSweeps
-  // is the edge after which the pages must be gone.
-  as_.DrainSweeps();
+  // The sweep runs inside the call: the pages are gone when Munmap returns.
   EXPECT_EQ(as_.PresentPages(), 0u);
-}
-
-TEST_P(VmSemanticsTest, InlineSweepsDropPagesAtMunmapReturn) {
-  as_.SetDeferredSweeps(false);
-  const uint64_t a = as_.Mmap(4 * kPage, kProtRead | kProtWrite);
-  EXPECT_TRUE(as_.PageFault(a, true));
-  EXPECT_TRUE(as_.Munmap(a, 4 * kPage));
-  EXPECT_EQ(as_.PresentPages(), 0u) << "inline mode sweeps under the write lock";
-  EXPECT_EQ(as_.Stats().sweeps_queued.load(), 0u);
-}
-
-TEST_P(VmSemanticsTest, MunmapAsyncDefersTheSweep) {
-  const uint64_t a = as_.Mmap(4 * kPage, kProtRead | kProtWrite);
-  EXPECT_TRUE(as_.PageFault(a, true));
-  EXPECT_TRUE(as_.PageFault(a + kPage, true));
-  EXPECT_TRUE(as_.MunmapAsync(a, 4 * kPage));
-  EXPECT_TRUE(as_.SnapshotVmas().empty()) << "the unlink itself is synchronous";
-  EXPECT_EQ(as_.PendingSweepPages(), 4u);
-  EXPECT_EQ(as_.PresentPages(), 2u) << "async munmap never flushes in-call";
-  as_.DrainSweeps();
-  EXPECT_EQ(as_.PendingSweepPages(), 0u);
-  EXPECT_EQ(as_.PresentPages(), 0u);
+  EXPECT_EQ(as_.Stats().sweeps_skipped_empty.load(), 0u);
   EXPECT_TRUE(as_.CheckInvariants());
 }
 
@@ -92,14 +69,11 @@ TEST_P(VmSemanticsTest, EmptyVmaMunmapSkipsTheSweep) {
   const uint64_t a = as_.Mmap(4 * kPage, kProtRead | kProtWrite);
   EXPECT_TRUE(as_.Munmap(a, 4 * kPage)) << "no page was ever faulted in";
   EXPECT_EQ(as_.Stats().sweeps_skipped_empty.load(), 1u);
-  EXPECT_EQ(as_.Stats().sweeps_queued.load(), 0u);
   // A populated VMA must not be skipped.
   const uint64_t b = as_.Mmap(4 * kPage, kProtRead | kProtWrite);
   EXPECT_TRUE(as_.PageFault(b, true));
   EXPECT_TRUE(as_.Munmap(b, 4 * kPage));
   EXPECT_EQ(as_.Stats().sweeps_skipped_empty.load(), 1u);
-  EXPECT_EQ(as_.Stats().sweeps_queued.load(), 1u);
-  as_.DrainSweeps();
   EXPECT_EQ(as_.PresentPages(), 0u);
 }
 
@@ -212,8 +186,7 @@ TEST_P(VmSemanticsTest, MadviseDropsPages) {
   as_.PageFault(a + kPage, true);
   EXPECT_EQ(as_.PresentPages(), 2u);
   EXPECT_TRUE(as_.MadviseDontNeed(a, 4 * kPage));
-  as_.DrainSweeps();  // deferred contract: pre-call installs are gone after the drain
-  EXPECT_EQ(as_.PresentPages(), 0u);
+  EXPECT_EQ(as_.PresentPages(), 0u) << "pre-call installs are gone at return";
   as_.PageFault(a, true);
   EXPECT_EQ(as_.Stats().MajorFaults(), 3u) << "retouch faults again";
 }
