@@ -112,14 +112,14 @@ const char* VmVariantName(VmVariant v) {
 }
 
 AddressSpace::AddressSpace(VmVariant variant, unsigned stripes)
-    : variant_(variant), index_(ResolveStripes(variant, stripes)) {
+    : variant_(variant), index_(ResolveStripes(variant, stripes)),
+      stats_(index_.StripeCount()) {
   const VariantConfig cfg = ConfigFor(variant);
   refine_fault_ = cfg.refine_fault;
   refine_mprotect_ = cfg.refine_mprotect;
   scoped_structural_ = cfg.scoped_structural;
   stripes_ = index_.StripeCount();
   lock_ = MakeVmLock(cfg.kind);
-  stats_.ConfigureStripes(stripes_);
   // kPageSize is 2^12; the page table's stripe bits sit kStripeShift - 12 up from the
   // window origin (kMmapBase is not span-aligned, so the origin must be subtracted).
   pages_.ConfigureStripes(VmaIndex::kStripeShift - 12, kMmapBase / kPageSize, stripes_);
@@ -198,7 +198,7 @@ uint64_t AddressSpace::MmapInStripe(unsigned stripe, uint64_t length, uint32_t p
   if (length == 0 || stripe >= stripes_) {
     return 0;
   }
-  stats_.mmaps.fetch_add(1, std::memory_order_relaxed);
+  stats_.mmaps.Add();
   const uint64_t size = PageUp(length);
   uint64_t addr = 0;
   unsigned si = stripe;
@@ -207,7 +207,7 @@ uint64_t AddressSpace::MmapInStripe(unsigned stripe, uint64_t length, uint32_t p
     addr = CarveFromStripe(si, size);
     if (addr != 0) {
       if (probe != 0) {
-        stats_.stripe(si).mmap_overflow.fetch_add(1, std::memory_order_relaxed);
+        stats_.stripe(si).mmap_overflow.Add();
       }
       break;
     }
@@ -227,8 +227,8 @@ uint64_t AddressSpace::MmapInStripe(unsigned stripe, uint64_t length, uint32_t p
   st.UnlockMutate();
   lock_->UnlockWrite(h);
   if (scoped_structural_) {
-    stats_.scoped_structural.fetch_add(1, std::memory_order_relaxed);
-    stats_.stripe(si).scoped_structural.fetch_add(1, std::memory_order_relaxed);
+    stats_.scoped_structural.Add();
+    stats_.stripe(si).scoped_structural.Add();
   }
   return addr;
 }
@@ -290,7 +290,7 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
   if (length == 0) {
     return false;
   }
-  stats_.munmaps.fetch_add(1, std::memory_order_relaxed);
+  stats_.munmaps.Add();
   const uint64_t s = PageDown(addr);
   const uint64_t e = PageUp(addr + length);
   if (e <= s) {
@@ -309,7 +309,7 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
       lock_->UnlockRead(rh);
     }
     if (!any_overlap) {
-      stats_.unmap_lookup_fastpath.fetch_add(1, std::memory_order_relaxed);
+      stats_.unmap_lookup_fastpath.Add();
       return false;
     }
   }
@@ -335,23 +335,22 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
         if (populated) {
           pages_.RemoveRange(s / kPageSize, e / kPageSize);
         } else if (any) {
-          stats_.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
+          stats_.sweeps_skipped_empty.Add();
         }
         lock_->UnlockWrite(h);
-        stats_.scoped_structural.fetch_add(1, std::memory_order_relaxed);
-        stats_.stripe(si).scoped_structural.fetch_add(1, std::memory_order_relaxed);
+        stats_.scoped_structural.Add();
+        stats_.stripe(si).scoped_structural.Add();
         st.MaybeFlushRetired();
         return any;
       }
       case RangeClass::kCrossStripe:
-        stats_.cross_stripe_fallback.fetch_add(1, std::memory_order_relaxed);
+        stats_.cross_stripe_fallback.Add();
         break;
       case RangeClass::kWrapped:
         break;
     }
-    stats_.scoped_fallback.fetch_add(1, std::memory_order_relaxed);
-    stats_.stripe(index_.IndexOf(s))
-        .scoped_fallback.fetch_add(1, std::memory_order_relaxed);
+    stats_.scoped_fallback.Add();
+    stats_.stripe(index_.IndexOf(s)).scoped_fallback.Add();
   }
   const unsigned lo = index_.IndexOf(s);
   const unsigned hi = index_.IndexOf(e - 1);
@@ -363,7 +362,7 @@ bool AddressSpace::Munmap(uint64_t addr, uint64_t length) {
   if (populated) {
     pages_.RemoveRange(s / kPageSize, e / kPageSize);
   } else if (any) {
-    stats_.sweeps_skipped_empty.fetch_add(1, std::memory_order_relaxed);
+    stats_.sweeps_skipped_empty.Add();
   }
   lock_->UnlockWrite(h);
   index_.MaybeFlushRetired(lo, hi);
@@ -508,7 +507,7 @@ bool AddressSpace::ScopedStructuralMprotect(uint64_t s, uint64_t e, uint32_t pro
       // The argument range spans a stripe edge: the single-stripe lock cannot cover
       // every boundary this op may move. Degrade to the full path, which fences all
       // affected stripes.
-      stats_.cross_stripe_fallback.fetch_add(1, std::memory_order_relaxed);
+      stats_.cross_stripe_fallback.Add();
       return false;
     case RangeClass::kWrapped:
       return false;  // padded range wraps: not representable, take the full path
@@ -542,8 +541,8 @@ bool AddressSpace::ScopedStructuralMprotect(uint64_t s, uint64_t e, uint32_t pro
   *ok = ApplyMprotectLocked(s, e, prot, si, si);
   st.UnlockMutate();
   lock_->UnlockWrite(h);
-  stats_.scoped_structural.fetch_add(1, std::memory_order_relaxed);
-  stats_.stripe(si).scoped_structural.fetch_add(1, std::memory_order_relaxed);
+  stats_.scoped_structural.Add();
+  stats_.stripe(si).scoped_structural.Add();
   return true;
 }
 
@@ -584,7 +583,7 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
   if (length == 0) {
     return false;
   }
-  stats_.mprotects.fetch_add(1, std::memory_order_relaxed);
+  stats_.mprotects.Add();
   const uint64_t s = PageDown(addr);
   const uint64_t e = PageUp(addr + length);
   if (e <= s) {
@@ -600,9 +599,8 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
           index_.StripeFor(s).MaybeFlushRetired();
           return ok;
         }
-        stats_.scoped_fallback.fetch_add(1, std::memory_order_relaxed);
-        stats_.stripe(index_.IndexOf(s))
-            .scoped_fallback.fetch_add(1, std::memory_order_relaxed);
+        stats_.scoped_fallback.Add();
+        stats_.stripe(index_.IndexOf(s)).scoped_fallback.Add();
       }
       const unsigned lo = index_.IndexOf(s);
       const unsigned hi = index_.IndexOf(e - 1);
@@ -645,7 +643,7 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
           aligned_end != vma->End() + kPageSize) {
         st.UnlockStable();
         lock_->UnlockWrite(wh);
-        stats_.spec_retries.fetch_add(1, std::memory_order_relaxed);
+        stats_.spec_retries.Add();
         continue;  // mm_rb may have changed under us — retry from the top
       }
 
@@ -699,7 +697,7 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
           break;
         }
         case SpecCase::kStructural:
-          stats_.spec_fallback.fetch_add(1, std::memory_order_relaxed);
+          stats_.spec_fallback.Add();
           speculate = false;
           fell_back = true;
           break;
@@ -710,7 +708,7 @@ bool AddressSpace::Mprotect(uint64_t addr, uint64_t length, uint32_t prot) {
         continue;  // redo on the structural path
       }
     }
-    stats_.spec_success.fetch_add(1, std::memory_order_relaxed);
+    stats_.spec_success.Add();
     return true;
   }
 }
@@ -726,11 +724,10 @@ bool AddressSpace::PageFaultLocked(uint64_t addr, bool is_write, uint64_t page_a
     const uint64_t page = page_addr / kPageSize;
     if (pages_.Install(page)) {
       vma->present_hint.fetch_add(1, std::memory_order_relaxed);
-      stats_.stripe(index_.IndexOf(page_addr))
-          .major_faults.fetch_add(1, std::memory_order_relaxed);
+      stats_.stripe(index_.IndexOf(page_addr)).major_faults.Add();
     }
   } else {
-    stats_.fault_errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.fault_errors.Add();
   }
   return ok;
 }
@@ -771,15 +768,15 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
   EpochQuantumGuard guard(EpochDomain::Global());
   const unsigned si = index_.IndexOf(addr);
   const VmaStripe& stripe = index_.Stripe(si);
-  VmStripeStats& sstats = stats_.stripe(si);
+  const VmStripeStats& sstats = stats_.stripe(si);
   for (int attempt = 0; attempt < kFaultSpecAttempts; ++attempt) {
     Vma* vma = nullptr;
     uint64_t iseq = 0;
     if (!stripe.TryFindOptimistic(addr, &vma, &iseq)) {
-      stats_.find_retries.fetch_add(1, std::memory_order_relaxed);
-      stats_.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
-      sstats.find_retries.fetch_add(1, std::memory_order_relaxed);
-      sstats.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
+      stats_.find_retries.Add();
+      stats_.fault_spec_retry.Add();
+      sstats.find_retries.Add();
+      sstats.fault_spec_retry.Add();
       continue;
     }
     if (vma == nullptr) {
@@ -793,8 +790,8 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
     const uint64_t ve = vma->End();
     const uint32_t prot = vma->Prot();
     if (!vma->meta_seq.Validate(vseq)) {
-      stats_.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
-      sstats.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
+      stats_.fault_spec_retry.Add();
+      sstats.fault_spec_retry.Add();
       continue;  // torn metadata read: a boundary move / flip overlapped
     }
     if (vs > addr || ve <= addr) {
@@ -809,12 +806,12 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
       // (bounds, prot) pair consistent; an unchanged stripe seqcount proves the VMA
       // was live and un-clipped for the whole read window.
       if (stripe.ValidateSeq(iseq) && !vma->Detached()) {
-        sstats.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
-        stats_.fault_errors.fetch_add(1, std::memory_order_relaxed);
+        sstats.fault_spec_ok.Add();
+        stats_.fault_errors.Add();
         return 0;
       }
-      stats_.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
-      sstats.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
+      stats_.fault_spec_retry.Add();
+      sstats.fault_spec_retry.Add();
       continue;
     }
 
@@ -823,8 +820,8 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
       // the window strands the install after the page sweep — the stale page the
       // fault-vs-unmap battery exists to catch.
       if (!stripe.ValidateSeq(iseq) || vma->Detached()) {
-        stats_.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
-        sstats.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
+        stats_.fault_spec_retry.Add();
+        sstats.fault_spec_retry.Add();
         continue;
       }
       for (uint32_t i = 0; i < test_spec_window_yields_; ++i) {
@@ -832,9 +829,9 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
       }
       if (pages_.Install(page_addr / kPageSize)) {
         vma->present_hint.fetch_add(1, std::memory_order_relaxed);
-        sstats.major_faults.fetch_add(1, std::memory_order_relaxed);
+        sstats.major_faults.Add();
       }
-      sstats.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
+      sstats.fault_spec_ok.Add();
       return 1;
     }
 
@@ -888,28 +885,28 @@ int AddressSpace::PageFaultOptimistic(uint64_t addr, bool is_write, uint64_t pag
           vma->present_hint.fetch_sub(1, std::memory_order_relaxed);
         }
       }
-      stats_.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
-      sstats.fault_spec_retry.fetch_add(1, std::memory_order_relaxed);
+      stats_.fault_spec_retry.Add();
+      sstats.fault_spec_retry.Add();
       continue;
     }
     if (installed) {
-      sstats.major_faults.fetch_add(1, std::memory_order_relaxed);
+      sstats.major_faults.Add();
     }
-    sstats.fault_spec_ok.fetch_add(1, std::memory_order_relaxed);
+    sstats.fault_spec_ok.Add();
     return 1;
   }
   return -1;
 }
 
 bool AddressSpace::PageFault(uint64_t addr, bool is_write) {
-  stats_.stripe(index_.IndexOf(addr)).faults.fetch_add(1, std::memory_order_relaxed);
+  stats_.stripe(index_.IndexOf(addr)).faults.Add();
   const uint64_t page_addr = PageDown(addr);
   if (scoped_structural_) {
     const int verdict = PageFaultOptimistic(addr, is_write, page_addr);
     if (verdict >= 0) {
       return verdict != 0;
     }
-    stats_.fault_spec_fallback.fetch_add(1, std::memory_order_relaxed);
+    stats_.fault_spec_fallback.Add();
   }
   const Range r = refine_fault_ ? Range{page_addr, page_addr + kPageSize} : Range::Full();
   // Trylock-first, mirroring the kernel fault path (do_user_addr_fault does
@@ -917,9 +914,9 @@ bool AddressSpace::PageFault(uint64_t addr, bool is_write) {
   // and the contended one falls back to the ordinary blocking acquisition.
   void* h = nullptr;
   if (lock_->TryLockRead(r, &h)) {
-    stats_.fault_try_ok.fetch_add(1, std::memory_order_relaxed);
+    stats_.fault_try_ok.Add();
   } else {
-    stats_.fault_try_fallback.fetch_add(1, std::memory_order_relaxed);
+    stats_.fault_try_fallback.Add();
     h = lock_->LockRead(r);
   }
   bool ok;

@@ -27,7 +27,7 @@
 #ifndef SRL_VM_VM_LOCK_H_
 #define SRL_VM_VM_LOCK_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -37,6 +37,7 @@
 #include "src/core/range.h"
 #include "src/core/skiplist_range_lock.h"
 #include "src/harness/wait_stats.h"
+#include "src/sync/percpu_counter.h"
 #include "src/sync/rw_semaphore.h"
 
 namespace srl::vm {
@@ -124,13 +125,13 @@ class VmLock {
 
   // Write-acquisition accounting: how many writes took the whole address space
   // (Range::Full()) versus a proper sub-range. The scoped structural variants live or
-  // die by this ratio — bench/abl_scoped_structural reports it per variant.
-  uint64_t FullWriteAcquisitions() const {
-    return full_writes_.load(std::memory_order_relaxed);
-  }
-  uint64_t RangedWriteAcquisitions() const {
-    return ranged_writes_.load(std::memory_order_relaxed);
-  }
+  // die by this ratio — bench/abl_scoped_structural reports it per variant. Every mmap
+  // and munmap bumps one of the two, so they are per-CPU counters: a shared atomic
+  // here would put one written line in every structural op's path, and on the list,
+  // list-lf and skiplist backends it would share that line with the start of the lock
+  // object (the list head word, the bucket geometry, the skiplist head).
+  uint64_t FullWriteAcquisitions() const { return writes_.Sum(kFullWrites); }
+  uint64_t RangedWriteAcquisitions() const { return writes_.Sum(kRangedWrites); }
 
  protected:
   virtual void* DoLockRead(const Range& r) = 0;
@@ -141,17 +142,14 @@ class VmLock {
   virtual void DoUnlockWrite(void* h) = 0;
 
  private:
+  enum : std::size_t { kFullWrites, kRangedWrites, kWriteCounters };
+
   void CountWrite(const Range& r) {
-    if (r == Range::Full()) {
-      full_writes_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ranged_writes_.fetch_add(1, std::memory_order_relaxed);
-    }
+    writes_.Add(r == Range::Full() ? kFullWrites : kRangedWrites);
   }
 
   WaitStats* stats_ = nullptr;
-  std::atomic<uint64_t> full_writes_{0};
-  std::atomic<uint64_t> ranged_writes_{0};
+  PerCpuCounters writes_{kWriteCounters};
 };
 
 // Factory.

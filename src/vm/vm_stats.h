@@ -4,84 +4,98 @@
 // majority of the calls to mprotect (over 99%) succeed in the speculative path" for the
 // GLIBC-arena workload.
 //
+// Every counter is a per-CPU event counter (src/sync/percpu_counter.h), the shape of the
+// kernel's vm_event_state: each CPU slot owns one cache-line-aligned block holding all
+// of this struct's counters, flat and per-stripe, so a fault, mmap or munmap writes
+// only its own CPU's lines and a read sums the slots. A shared fetch_add per fault
+// would serialize every faulting thread on one line, and the speculative fault, which
+// takes no range lock at all, would stop scaling on its counters.
+//
 // Since the address space was sharded into stripes, the counters that localize to one
-// stripe (scoped structural ops, speculative fault outcomes, optimistic-walk retries,
-// mmap cursor overflow) are additionally kept per stripe in cache-line-padded slots, so
-// the isolation claim — churn in stripe A causes no speculative-fault retries in
-// stripe B — is directly observable rather than inferred. The flat totals remain the
-// authoritative aggregates (they are bumped on the same events) — EXCEPT the per-fault
-// success counters, which are per-stripe only and aggregated on read (see Faults()).
+// stripe (faults, scoped structural ops, speculative fault outcomes, optimistic-walk
+// retries, mmap cursor overflow) are also kept per stripe, so the isolation claim
+// (churn in stripe A causes no speculative-fault retries in stripe B) is directly
+// observable rather than inferred. The flat totals are bumped on the same events,
+// except faults, major_faults and fault_spec_ok: those exist per stripe only, and
+// Faults(), MajorFaults() and FaultSpecOk() sum the stripes.
 #ifndef SRL_VM_VM_STATS_H_
 #define SRL_VM_VM_STATS_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <vector>
 
-#include "src/sync/cacheline.h"
+#include "src/sync/percpu_counter.h"
 
 namespace srl::vm {
 
 // Per-stripe slice of the counters below; see VmStats::stripe().
 struct VmStripeStats {
-  std::atomic<uint64_t> faults{0};             // faults whose address lands in this stripe
-  std::atomic<uint64_t> major_faults{0};       // of those, pages actually installed
-  std::atomic<uint64_t> scoped_structural{0};  // structural ops completed stripe-scoped
-  std::atomic<uint64_t> scoped_fallback{0};    // ops starting in this stripe that degraded
-  std::atomic<uint64_t> fault_spec_ok{0};      // lock-free faults resolved in this stripe
-  std::atomic<uint64_t> fault_spec_retry{0};   // speculative attempts retried (same-stripe churn)
-  std::atomic<uint64_t> find_retries{0};       // optimistic walks of this stripe's tree retried
-  std::atomic<uint64_t> mmap_overflow{0};      // mmaps that overflowed INTO this stripe
+  PerCpuCounter faults;             // faults whose address lands in this stripe
+  PerCpuCounter major_faults;       // of those, pages actually installed
+  PerCpuCounter scoped_structural;  // structural ops completed stripe-scoped
+  PerCpuCounter scoped_fallback;    // ops starting in this stripe that degraded
+  PerCpuCounter fault_spec_ok;      // lock-free faults resolved in this stripe
+  PerCpuCounter fault_spec_retry;   // speculative attempts retried (same-stripe churn)
+  PerCpuCounter find_retries;       // optimistic walks of this stripe's tree retried
+  PerCpuCounter mmap_overflow;      // mmaps that overflowed INTO this stripe
 };
 
-struct VmStats {
-  std::atomic<uint64_t> mmaps{0};
-  std::atomic<uint64_t> munmaps{0};
-  std::atomic<uint64_t> mprotects{0};
-  std::atomic<uint64_t> fault_errors{0};   // unmapped address or protection violation
-  std::atomic<uint64_t> fault_try_ok{0};        // fault admitted by the trylock fast path
-  std::atomic<uint64_t> fault_try_fallback{0};  // trylock failed; blocked on the read lock
+class VmStats {
+  // Declared first: each counter below takes the next index of the set, in declaration
+  // order, and the constructor sizes the set once every index is handed out.
+  PerCpuCounters counters_;
+  uint32_t next_ = 0;
+  PerCpuCounter Next() { return PerCpuCounter(&counters_, next_++); }
+
+ public:
+  explicit VmStats(unsigned stripes) {
+    per_stripe_.reserve(stripes);
+    for (unsigned i = 0; i < stripes; ++i) {
+      // Braced initialization evaluates left to right: stripe i's eight counters take
+      // consecutive indices.
+      per_stripe_.push_back(
+          VmStripeStats{Next(), Next(), Next(), Next(), Next(), Next(), Next(), Next()});
+    }
+    counters_ = PerCpuCounters(next_);
+  }
+  VmStats(const VmStats&) = delete;
+  VmStats& operator=(const VmStats&) = delete;
+
+  PerCpuCounter mmaps = Next();
+  PerCpuCounter munmaps = Next();
+  PerCpuCounter mprotects = Next();
+  PerCpuCounter fault_errors = Next();        // unmapped address or protection violation
+  PerCpuCounter fault_try_ok = Next();        // fault admitted by the trylock fast path
+  PerCpuCounter fault_try_fallback = Next();  // trylock failed; blocked on the read lock
   // Lock-free speculative fault path (scoped variants): attempts that had to retry
   // (validation failure / torn metadata read), and faults that exhausted their attempts
   // (or observed a gap, which only the locked path may adjudicate) and degraded to the
   // trylock-first locked path. The per-fault success counters (faults, major_faults,
-  // fault_spec_ok) have NO flat atomic: see the aggregated accessors below.
-  std::atomic<uint64_t> fault_spec_retry{0};
-  std::atomic<uint64_t> fault_spec_fallback{0};
-  std::atomic<uint64_t> spec_success{0};   // mprotect completed on the speculative path
-  std::atomic<uint64_t> spec_retries{0};   // seq/boundary validation failed, retried
-  std::atomic<uint64_t> spec_fallback{0};  // structural change forced the structural path
-  std::atomic<uint64_t> unmap_lookup_fastpath{0};  // munmap resolved under a read lock
+  // fault_spec_ok) are per-stripe only: see the aggregated accessors below.
+  PerCpuCounter fault_spec_retry = Next();
+  PerCpuCounter fault_spec_fallback = Next();
+  PerCpuCounter spec_success = Next();   // mprotect completed on the speculative path
+  PerCpuCounter spec_retries = Next();   // seq/boundary validation failed, retried
+  PerCpuCounter spec_fallback = Next();  // structural change forced the structural path
+  PerCpuCounter unmap_lookup_fastpath = Next();  // munmap resolved under a read lock
   // Range-scoped structural ops (kTreeScoped / kListScoped): structural mutations that
   // completed under a write lock covering only the affected range (padded one page),
   // vs. the classify-then-fallback cases that had to degrade to a full-range write.
-  std::atomic<uint64_t> scoped_structural{0};
-  std::atomic<uint64_t> scoped_fallback{0};
+  PerCpuCounter scoped_structural = Next();
+  PerCpuCounter scoped_fallback = Next();
   // Of the scoped fallbacks, how many degraded because the padded range crossed a
   // stripe edge (as opposed to being unrepresentable at the top of the address space).
-  std::atomic<uint64_t> cross_stripe_fallback{0};
+  PerCpuCounter cross_stripe_fallback = Next();
   // Optimistic mm_rb walks (VmaStripe::FindOptimistic) that overlapped a structural
   // mutation and retried.
-  std::atomic<uint64_t> find_retries{0};
+  PerCpuCounter find_retries = Next();
   // Munmaps that skipped the page sweep outright because every dying VMA's
   // present-page hint proved it never faulted a page (see README "Page sweeps").
-  std::atomic<uint64_t> sweeps_skipped_empty{0};
+  PerCpuCounter sweeps_skipped_empty = Next();
 
-  // --- Per-stripe slices (sized by AddressSpace at construction) ---
+  unsigned StripeCount() const { return static_cast<unsigned>(per_stripe_.size()); }
+  const VmStripeStats& stripe(unsigned i) const { return per_stripe_[i]; }
 
-  void ConfigureStripes(unsigned n) {
-    stripe_count_ = n;
-    per_stripe_ = std::make_unique<CacheAligned<VmStripeStats>[]>(n);
-  }
-  unsigned StripeCount() const { return stripe_count_; }
-  VmStripeStats& stripe(unsigned i) { return per_stripe_[i].value; }
-  const VmStripeStats& stripe(unsigned i) const { return per_stripe_[i].value; }
-
-  // The counters bumped once per successful fault are kept per-stripe ONLY, unlike
-  // the rest of the flat totals: at millions of faults a second a shared fetch_add
-  // per fault serializes every faulting thread on one cache line — exactly the
-  // cross-stripe coupling the stripes exist to remove. The flat totals for those
-  // aggregate on read instead.
   uint64_t Faults() const { return SumStripes(&VmStripeStats::faults); }
   uint64_t MajorFaults() const { return SumStripes(&VmStripeStats::major_faults); }
   uint64_t FaultSpecOk() const { return SumStripes(&VmStripeStats::fault_spec_ok); }
@@ -97,8 +111,8 @@ struct VmStats {
 
   // Fraction of page faults admitted without blocking — what bench/abl_trylock sweeps.
   double FaultTrySuccessRate() const {
-    const uint64_t ok = fault_try_ok.load(std::memory_order_relaxed);
-    const uint64_t fb = fault_try_fallback.load(std::memory_order_relaxed);
+    const uint64_t ok = fault_try_ok.load();
+    const uint64_t fb = fault_try_fallback.load();
     if (ok + fb == 0) {
       return 0.0;
     }
@@ -106,19 +120,18 @@ struct VmStats {
   }
 
   double SpeculationSuccessRate() const {
-    const uint64_t total = mprotects.load(std::memory_order_relaxed);
+    const uint64_t total = mprotects.load();
     if (total == 0) {
       return 0.0;
     }
-    return static_cast<double>(spec_success.load(std::memory_order_relaxed)) /
-           static_cast<double>(total);
+    return static_cast<double>(spec_success.load()) / static_cast<double>(total);
   }
 
   // Fraction of structural operations that stayed range-scoped (scoped variants only;
   // 0 when no structural op ran).
   double ScopedStructuralRate() const {
-    const uint64_t scoped = scoped_structural.load(std::memory_order_relaxed);
-    const uint64_t full = scoped_fallback.load(std::memory_order_relaxed);
+    const uint64_t scoped = scoped_structural.load();
+    const uint64_t full = scoped_fallback.load();
     if (scoped + full == 0) {
       return 0.0;
     }
@@ -126,16 +139,15 @@ struct VmStats {
   }
 
  private:
-  uint64_t SumStripes(std::atomic<uint64_t> VmStripeStats::*m) const {
+  uint64_t SumStripes(PerCpuCounter VmStripeStats::*m) const {
     uint64_t sum = 0;
-    for (unsigned i = 0; i < stripe_count_; ++i) {
-      sum += (per_stripe_[i].value.*m).load(std::memory_order_relaxed);
+    for (const VmStripeStats& s : per_stripe_) {
+      sum += (s.*m).load();
     }
     return sum;
   }
 
-  unsigned stripe_count_ = 0;
-  std::unique_ptr<CacheAligned<VmStripeStats>[]> per_stripe_;
+  std::vector<VmStripeStats> per_stripe_;
 };
 
 }  // namespace srl::vm

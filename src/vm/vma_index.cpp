@@ -73,7 +73,7 @@ Vma* VmaStripe::FindOptimistic(uint64_t addr, VmStats* stats) const {
       return vma;
     }
     if (stats != nullptr) {
-      stats->find_retries.fetch_add(1, std::memory_order_relaxed);
+      stats->find_retries.Add();
     }
   }
 }

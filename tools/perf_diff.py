@@ -15,9 +15,10 @@ names, ...) plus any integer-valued known key column (threads, readers, ...), so
 reordering rows or adding new variants never mispairs measurements.
 
 A row regresses when current < baseline * (1 - threshold). Noise handling: benches
-report a "rel-stddev%" column; when either side of a comparison carries a relative
-stddev above --noise-cap, the finding is reported as NOISY and does not affect the
-exit code (shared CI runners routinely show 2x swings on contended microbenches).
+report a "rel-stddev%" column (or several, e.g. "faults-rel-stddev%"); when any of them
+on either side of a comparison is above --noise-cap, the finding is reported as NOISY
+and does not affect the exit code (shared CI runners routinely show 2x swings on
+contended microbenches).
 
 Schema drift is reported, never silently skipped: a metric column present on only one
 side is flagged METRIC-ADDED / METRIC-REMOVED (per table), a row present only in the
@@ -153,9 +154,10 @@ def compare_bench(name, base, cur, args, findings):
         matched += 1
         noisy = False
         for row in (brow, crow):
-            stddev = row.get(STDDEV_COLUMN)
-            if isinstance(stddev, (int, float)) and stddev > args.noise_cap:
-                noisy = True
+            for col, stddev in row.items():
+                if (col.endswith(STDDEV_COLUMN) and isinstance(stddev, (int, float))
+                        and stddev > args.noise_cap):
+                    noisy = True
         t_idx = dict(key).get("table", 0)
         for col in shared_metrics.get(t_idx, []):
             bval, cval = brow.get(col), crow.get(col)
