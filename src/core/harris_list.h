@@ -11,6 +11,11 @@
 //   * Releasing marks the node's next pointer (one fetch_add — wait-free); marked nodes
 //     are physically unlinked by whichever later traversal passes by (Harris-style
 //     helping) and retired through the epoch scheme of src/epoch/.
+//   * Under RwOrder an overlapping reader and writer may insert at different positions
+//     (Figure 1), so the caller follows every RwOrder insertion with a SeqCstFence and
+//     a validation pass over the same list — Listing 3's r_validate (RValidate) or
+//     w_validate (WValidate). The fence and the restart loop live with the only
+//     caller, the bucketed lock (list_lockfree_range_lock.h).
 //   * The §4.5 fast path: an acquisition that finds the list empty installs its node
 //     marked-at-head with one CAS and never enters an epoch critical section; its
 //     release CASes the head back to zero and recycles the node with no grace period.
@@ -238,9 +243,10 @@ class HarrisList {
         // pairing: overlapping acquirers compete for the SAME insertion point, so
         // exclusion is decided by CAS success/failure on one location, not by two
         // threads each having to observe the other's independent store (the
-        // store-buffering shape that forces the fence in list_rw_range_lock.h). seq_cst
-        // on success makes every insertion participate in the RW lock's fence protocol,
-        // and costs nothing extra on x86/ARM LL-SC versus acq_rel here.
+        // store-buffering shape that forces the insert-then-validate fence of RwOrder
+        // acquisitions, list_lockfree_range_lock.h). seq_cst on success makes every
+        // insertion participate in that fence protocol, and costs nothing extra on
+        // x86/ARM LL-SC versus acq_rel here.
         node->next.store(cur_word, std::memory_order_relaxed);
         if (prev->compare_exchange_strong(cur_word, NodeWord(node),
                                           std::memory_order_seq_cst,
@@ -300,6 +306,94 @@ class HarrisList {
     gate_spinner.Pause();
     EpochDomain::Enter(rec);
     return deadline.Expired() ? WaitResult::kTimedOut : WaitResult::kRestart;
+  }
+
+  // Listing 3, r_validate: scan forward from our node (inserted by this thread under
+  // RwOrder, still inside the epoch critical section on `rec`); wait out any
+  // conflicting writer. Under a blocking deadline this always succeeds (readers have
+  // priority over writers in this scheme). Under an immediate or expired deadline the
+  // reader aborts instead of waiting: it is already enqueued, so it self-deletes —
+  // marks its own node exactly like a release would — and returns false. Ownership of
+  // the node then passes to the list: whichever concurrent traversal (possibly that
+  // very writer's WValidate) wins the unlink CAS Retires it exactly once, so the caller
+  // must neither touch nor Recycle it.
+  static bool RValidate(LNode* node, EpochDomain::ThreadRec* rec,
+                        const Deadline& deadline, AdmissionSpinner& gate_spinner) {
+    for (;;) {
+      std::atomic<uintptr_t>* prev = &node->next;
+      uintptr_t cur_word = Unmark(prev->load(std::memory_order_acquire));
+      bool restart = false;
+      while (!restart) {
+        LNode* cur = ToNode(cur_word);
+        // Precise half-open overlap test; every node past our position has
+        // start >= node->start, so start < node->end is the full overlap condition.
+        if (cur == nullptr || cur->start >= node->end) {
+          return true;
+        }
+        const uintptr_t cur_next = cur->next.load(std::memory_order_acquire);
+        if (IsMarked(cur_next)) {
+          uintptr_t expected = cur_word;
+          HelpUnlink(prev, &expected, Unmark(cur_next));
+          cur_word = Unmark(cur_next);  // continue through the (possibly stale) chain —
+          continue;                     // safe inside the epoch critical section
+        }
+        if (cur->reader) {
+          prev = &cur->next;
+          cur_word = Unmark(cur_next);
+          continue;
+        }
+        // Conflicting writer: wait for it to release, then re-examine.
+        switch (WaitForRelease(cur->next, rec, deadline, gate_spinner)) {
+          case WaitResult::kReleased:
+            break;
+          case WaitResult::kRestart:
+            restart = true;  // cycled the epoch CS; restart the scan from our own node
+            break;
+          case WaitResult::kTimedOut:
+            node->next.fetch_add(kMarkBit, std::memory_order_release);
+            return false;
+        }
+      }
+    }
+  }
+
+  // Listing 3, w_validate: re-scan from the head to our own node (inserted by this
+  // thread under RwOrder, inside the epoch critical section). On meeting any
+  // conflicting node, self-delete and report failure; never waits. As for RValidate,
+  // a self-deleted node belongs to the list from then on.
+  bool WValidate(LNode* node) {
+    for (;;) {
+      std::atomic<uintptr_t>* prev = &head_;
+      uintptr_t cur_word = Unmark(prev->load(std::memory_order_acquire));
+      for (;;) {
+        LNode* cur = ToNode(cur_word);
+        if (cur == node) {
+          return true;
+        }
+        if (cur == nullptr) {
+          // Our node is always reachable from the head within one epoch critical
+          // section (frozen next pointers never skip forward past live nodes); hitting
+          // the end means a stale chain was followed mid-unlink — rescan.
+          break;
+        }
+        const uintptr_t cur_next = cur->next.load(std::memory_order_acquire);
+        if (IsMarked(cur_next)) {
+          uintptr_t expected = cur_word;
+          HelpUnlink(prev, &expected, Unmark(cur_next));
+          cur_word = Unmark(cur_next);
+          continue;
+        }
+        if (cur->end <= node->start) {
+          prev = &cur->next;
+          cur_word = Unmark(cur_next);
+          continue;
+        }
+        // cur overlaps us (cur->start <= node->start < cur->end given list order, or we
+        // raced with a same-start insert). Defer: delete ourselves and fail.
+        node->next.fetch_add(kMarkBit, std::memory_order_release);
+        return false;
+      }
+    }
   }
 
   // Test-only (callers must guarantee quiescence): calls f(node) for every held

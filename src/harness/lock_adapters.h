@@ -87,6 +87,34 @@ struct ListRwAdapter {
   ListRwRangeLock lock;
 };
 
+// list-rw on the bucketed geometry of ListLockFreeAdapter (16 buckets, 4-unit windows):
+// readers and writers validate per bucket, writers that fail validation release their
+// prefix of buckets and restart — the shape of the list-lf VM lock.
+struct ListRwBucketedAdapter {
+  using Handle = ListRwRangeLock::Handle;
+  static constexpr bool kSharedReaders = true;
+  static constexpr bool kPrecise = true;
+  static constexpr bool kUsesNodePool = true;
+  static const char* Name() { return "list-rw-bucketed"; }
+
+  ListRwBucketedAdapter()
+      : lock(ListRwRangeLock::Options{.buckets = 16, .window_shift = 2}) {}
+
+  Handle AcquireRead(const Range& r) { return lock.LockRead(r); }
+  Handle AcquireWrite(const Range& r) { return lock.LockWrite(r); }
+  bool TryAcquireRead(const Range& r, Handle* out) { return lock.TryLockRead(r, out); }
+  bool TryAcquireWrite(const Range& r, Handle* out) { return lock.TryLockWrite(r, out); }
+  bool AcquireReadFor(const Range& r, std::chrono::nanoseconds t, Handle* out) {
+    return lock.LockReadFor(r, t, out);
+  }
+  bool AcquireWriteFor(const Range& r, std::chrono::nanoseconds t, Handle* out) {
+    return lock.LockWriteFor(r, t, out);
+  }
+  void Release(Handle h) { lock.Unlock(h); }
+
+  ListRwRangeLock lock;
+};
+
 // list-lf: the bucketed lock-free exclusive range lock (hash-bucketed heads, mark-bit
 // release with no lock taken). The geometry suits the test universes (ranges of a few
 // dozen units): window_shift=2 so a typical short range covers 1-4 windows, 16 buckets

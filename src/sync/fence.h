@@ -4,8 +4,8 @@
 // -Werror under -fsanitize=thread). The standard substitute is a seq_cst RMW on a
 // process-wide dummy atomic: it creates the same total-order point and, unlike the
 // fence, gives TSan a happens-before edge it can track — so the algorithms that pair
-// fences (list_rw_range_lock's insert/validate protocol) stay analyzable instead of
-// producing false positives.
+// fences (the reader-writer list lock's insert/validate protocol) stay analyzable
+// instead of producing false positives.
 #ifndef SRL_SYNC_FENCE_H_
 #define SRL_SYNC_FENCE_H_
 

@@ -70,9 +70,17 @@ class TreeVmLock final : public VmLock {
   TreeRangeLock lock_;
 };
 
+// The paper's reader-writer list lock, in either geometry: `list` is one sorted list
+// (§4.2), `list-lf` the bucketed lock-free one. Its 64 KiB windows (window_shift=16)
+// keep a page-fault acquisition inside one window, and 64 buckets give striped
+// workloads distinct heads (the Fibonacci bucket hash diffuses the stripes' high base
+// bits).
 class ListVmLock final : public VmLock {
  public:
-  const char* Name() const override { return "list"; }
+  ListVmLock(const char* name, ListRwRangeLock::Options options)
+      : name_(name), lock_(options) {}
+
+  const char* Name() const override { return name_; }
 
  protected:
   void* DoLockRead(const Range& r) override { return lock_.LockRead(r); }
@@ -97,55 +105,14 @@ class ListVmLock final : public VmLock {
   void DoUnlockWrite(void* h) override { lock_.Unlock(static_cast<ListRwRangeLock::Handle>(h)); }
 
  private:
+  const char* const name_;
   ListRwRangeLock lock_;
 };
 
-// Exclusive backend: reads are served as writes (the lustre-ex pattern the paper
-// benchmarks in read workloads). Safe for AddressSpace because no VM path nests a
-// second acquisition inside one that overlaps it — the speculative Mprotect path
-// drops its read acquisition before taking the write one. Geometry: 64 KiB windows
-// (window_shift=16) keep a page-fault acquisition inside one window, and 64 buckets
-// give striped workloads distinct heads (the Fibonacci bucket hash diffuses the
-// stripes' high base bits).
-class ListLockFreeVmLock final : public VmLock {
- public:
-  ListLockFreeVmLock()
-      : lock_(ListLockFreeRangeLock::Options{.buckets = 64, .window_shift = 16}) {}
-
-  const char* Name() const override { return "list-lf"; }
-
- protected:
-  void* DoLockRead(const Range& r) override { return lock_.Lock(r); }
-  void* DoLockWrite(const Range& r) override { return lock_.Lock(r); }
-  bool DoTryLockRead(const Range& r, void** out) override {
-    ListLockFreeRangeLock::Handle h = nullptr;
-    if (!lock_.TryLock(r, &h)) {
-      return false;
-    }
-    *out = h;
-    return true;
-  }
-  bool DoTryLockWrite(const Range& r, void** out) override {
-    ListLockFreeRangeLock::Handle h = nullptr;
-    if (!lock_.TryLock(r, &h)) {
-      return false;
-    }
-    *out = h;
-    return true;
-  }
-  void DoUnlockRead(void* h) override {
-    lock_.Unlock(static_cast<ListLockFreeRangeLock::Handle>(h));
-  }
-  void DoUnlockWrite(void* h) override {
-    lock_.Unlock(static_cast<ListLockFreeRangeLock::Handle>(h));
-  }
-
- private:
-  ListLockFreeRangeLock lock_;
-};
-
-// Exclusive skiplist-indexed backend; reads served as writes like ListLockFreeVmLock
-// (and safe for AddressSpace by the same no-nested-overlap argument). No geometry to
+// Exclusive skiplist-indexed backend: reads are served as writes (the lustre-ex
+// pattern the paper benchmarks in read workloads). Safe for AddressSpace because no VM
+// path nests a second acquisition inside one that overlaps it — the speculative
+// Mprotect path drops its read acquisition before taking the write one. No geometry to
 // pick: the skiplist stores exact byte ranges, so there is no window/bucket trade-off
 // — precision and O(log n) acquire come from the index itself.
 class SkiplistVmLock final : public VmLock {
@@ -191,9 +158,10 @@ std::unique_ptr<VmLock> MakeVmLock(VmLockKind kind) {
     case VmLockKind::kTree:
       return std::make_unique<TreeVmLock>();
     case VmLockKind::kList:
-      return std::make_unique<ListVmLock>();
+      return std::make_unique<ListVmLock>("list", ListRwRangeLock::Options{.buckets = 1});
     case VmLockKind::kListLockFree:
-      return std::make_unique<ListLockFreeVmLock>();
+      return std::make_unique<ListVmLock>(
+          "list-lf", ListRwRangeLock::Options{.buckets = 64, .window_shift = 16});
     case VmLockKind::kSkiplistIndexed:
       return std::make_unique<SkiplistVmLock>();
   }

@@ -4,9 +4,9 @@
 // Variants (names follow the paper):
 //   stock         RwSemaphore; ranges ignored, whole-address-space semantics
 //   tree          kernel tree-based range lock (Bueso's patch, ported)
-//   list          the paper's reader-writer list-based range lock
-//   list-lf       bucketed lock-free exclusive list lock (reads served as writes, the
-//                 lustre-ex pattern; disjoint ranges hit disjoint bucket heads)
+//   list          the paper's reader-writer list-based range lock (one sorted list)
+//   list-lf       the same reader-writer lock, bucketed: 64 lock-free list heads, so
+//                 disjoint ranges hit disjoint heads and overlapping reads share
 //   skiplist      skiplist-indexed exclusive range lock (reads served as writes);
 //                 O(log n) acquire in the live-range count, the backend for
 //                 address spaces holding thousands of ranges at once
@@ -32,7 +32,6 @@
 #include <memory>
 
 #include "src/baselines/tree_range_lock.h"
-#include "src/core/list_lockfree_range_lock.h"
 #include "src/core/list_rw_range_lock.h"
 #include "src/core/range.h"
 #include "src/core/skiplist_range_lock.h"
@@ -45,8 +44,8 @@ namespace srl::vm {
 enum class VmLockKind {
   kStock,            // reader-writer semaphore (mmap_sem)
   kTree,             // tree-based range lock
-  kList,             // list-based range lock
-  kListLockFree,     // bucketed lock-free exclusive list lock
+  kList,             // reader-writer list-based range lock
+  kListLockFree,     // bucketed reader-writer list lock
   kSkiplistIndexed,  // skiplist-indexed exclusive range lock
 };
 

@@ -31,8 +31,9 @@ class LockConformanceTest : public ::testing::Test {
 
 using AllLocks =
     ::testing::Types<ListExAdapter, ListLockFreeAdapter, SkiplistIndexedAdapter,
-                     ListRwAdapter, FairListExAdapter, FairListRwAdapter, TreeExAdapter,
-                     TreeRwAdapter, SegmentRwAdapter, RwSemAdapter>;
+                     ListRwAdapter, ListRwBucketedAdapter, FairListExAdapter,
+                     FairListRwAdapter, TreeExAdapter, TreeRwAdapter, SegmentRwAdapter,
+                     RwSemAdapter>;
 
 class LockNames {
  public:

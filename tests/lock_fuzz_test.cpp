@@ -40,8 +40,9 @@ class LockFuzzTest : public ::testing::Test {};
 
 using AllLocks =
     ::testing::Types<ListExAdapter, ListLockFreeAdapter, SkiplistIndexedAdapter,
-                     ListRwAdapter, FairListExAdapter, FairListRwAdapter, TreeExAdapter,
-                     TreeRwAdapter, SegmentRwAdapter, RwSemAdapter>;
+                     ListRwAdapter, ListRwBucketedAdapter, FairListExAdapter,
+                     FairListRwAdapter, TreeExAdapter, TreeRwAdapter, SegmentRwAdapter,
+                     RwSemAdapter>;
 
 class LockNames {
  public:

@@ -46,7 +46,7 @@ read -r -a CONFIGS <<<"${CONFIGS[*]}"
 # VmStructuralFuzz is the structural-VM-op battery (optimistic mm_rb walks, epoch-
 # reclaimed VMAs, range-scoped mmap/munmap); it carries the `stress` label, so the
 # ASan+UBSan pass (-LE stress) skips it while TSan races it for real.
-SANITIZED_TESTS='ListRangeLock|ListLockFree|ListRwRangeLock|FastPathHandoff|FairList|LockConformance|LockFuzz|Epoch|Sync|SpinLock|TicketLock|RwSpinLock|FairRwLock|RwSemaphore|TreeRangeLock|SegmentRangeLock|RangeOracle|VmStructuralFuzz|VmFaultUnmapRace|VmStripe|VmSweep|SkiplistRangeLock|SkipList|Admission|Topology|PerCpuCounter'
+SANITIZED_TESTS='ListRangeLock|ListLockFree|ListRwRangeLock|FastPathHandoff|FairList|LockConformance|LockFuzz|Epoch|Sync|SpinLock|TicketLock|RwSpinLock|FairRwLock|RwSemaphore|TreeRangeLock|SegmentRangeLock|RangeOracle|VmStructuralFuzz|VmFaultUnmapRace|VmStripe|VmSweep|SkiplistRangeLock|SkipList|Admission|Topology|PerCpuCounter|VmLock'
 
 run_config() {
   local config="$1"
