@@ -31,6 +31,10 @@
 // (target stays kTargetSize until the first shortage), which is also what keeps the
 // pool-size ablation meaningful.
 //
+// A pool that is destroyed (at thread exit) never waits for grace either: its retired
+// nodes join a process-wide orphan list with their grace ticket, and whichever pool
+// refills or is destroyed next frees them once the ticket has elapsed.
+//
 // Pools are bound to EpochDomain::Global(): the grace condition must cover every thread
 // that can traverse a list containing these nodes, and the global domain is the only
 // set with that property.
@@ -38,7 +42,9 @@
 #define SRL_EPOCH_NODE_POOL_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -89,16 +95,26 @@ class NodePool {
   }
 
   ~NodePool() {
-    // Everything in `reclaimed` and the parked batches may still be referenced; wait
-    // out in-flight traversals. Quiesce first: barriers must never run with the
-    // caller's own quantum open.
-    EpochDomain::QuiesceQuantum(rec_);
-    EpochDomain::Global().Barrier(rec_);
+    // Active nodes never entered a shared structure or are past their grace: free them.
+    // Retired nodes may still be referenced. Waiting out their grace here would cost
+    // the exiting thread a Barrier, which another thread's idle open quantum stretches
+    // to the watchdog's force-quiesce threshold; the pool hands them to the orphan
+    // list instead, and a later Refill or pool destruction frees them once their
+    // ticket has elapsed.
     FreeAll(&active_);
-    FreeAll(&reclaimed_);
-    for (Parked& p : parked_) {
-      FreeAll(&p.nodes);
+    if (reclaimed_.head != nullptr) {
+      parked_.push_back({reclaimed_, EpochDomain::Global().Snapshot(rec_)});
+      reclaimed_ = List{};
     }
+    if (!parked_.empty()) {
+      Orphans& o = TheOrphans();
+      std::lock_guard<std::mutex> g(o.mu);
+      for (Parked& p : parked_) {
+        o.batches.push_back(std::move(p));
+      }
+      o.any.store(true, std::memory_order_relaxed);
+    }
+    ReapOrphans();
   }
 
   NodePool(const NodePool&) = delete;
@@ -129,6 +145,19 @@ class NodePool {
   std::size_t ActiveSize() const { return active_.size; }
   std::size_t ReclaimedSize() const { return reclaimed_.size; }
   std::size_t ParkedBatches() const { return parked_.size(); }
+  std::size_t ParkedSize() const {
+    std::size_t n = 0;
+    for (const Parked& p : parked_) {
+      n += p.nodes.size;
+    }
+    return n;
+  }
+  // Nodes this pool took from the system allocator (Replenish) and gave back to it
+  // (Trim) over its lifetime. With the three inventory sizes they make node accounting
+  // exact: active + reclaimed + parked + nodes out in shared structures
+  // == fresh - trimmed, summed over every pool the nodes move between.
+  std::size_t FreshCount() const { return fresh_; }
+  std::size_t TrimmedCount() const { return trimmed_; }
   // The learned inventory floor (kTargetSize when never ratcheted / fully decayed).
   std::size_t InventoryTarget() const { return target_; }
 
@@ -149,6 +178,37 @@ class NodePool {
     List nodes;
     EpochDomain::GraceTicket ticket;
   };
+
+  // Retired batches of destroyed pools, each with its grace ticket. Never destroyed,
+  // so batches still pending at process exit stay reachable.
+  struct Orphans {
+    std::mutex mu;
+    std::vector<Parked> batches;
+    std::atomic<bool> any{false};
+  };
+
+  static Orphans& TheOrphans() {
+    static Orphans* const orphans = new Orphans();
+    return *orphans;
+  }
+
+  // Frees every orphaned batch whose grace has elapsed. One relaxed load when there
+  // are none.
+  static void ReapOrphans() {
+    Orphans& o = TheOrphans();
+    if (!o.any.load(std::memory_order_relaxed)) {
+      return;
+    }
+    std::lock_guard<std::mutex> g(o.mu);
+    std::erase_if(o.batches, [](Parked& p) {
+      if (!p.ticket.Elapsed()) {
+        return false;
+      }
+      FreeAll(&p.nodes);
+      return true;
+    });
+    o.any.store(!o.batches.empty(), std::memory_order_relaxed);
+  }
 
   // Moves every node of `src` onto `dst` in O(1) — refills splice whole batches on
   // the allocation hot path.
@@ -188,6 +248,7 @@ class NodePool {
   // scoped epoch critical sections included (a range acquisition made from within a
   // skip-list operation allocates here with depth > 0).
   void Refill() {
+    ReapOrphans();
     // First reap: any parked batch whose grace has elapsed is unreachable and becomes
     // allocatable wholesale (O(1) splice each).
     std::erase_if(parked_, [this](Parked& p) {
@@ -245,11 +306,13 @@ class NodePool {
     for (std::size_t i = 0; i < count; ++i) {
       Push(&active_, new T());
     }
+    fresh_ += count;
   }
 
   void Trim(std::size_t down_to) {
     while (active_.size > down_to) {
       delete Pop(&active_);
+      ++trimmed_;
     }
   }
 
@@ -269,6 +332,8 @@ class NodePool {
   std::size_t target_ = kTargetSize;
   // Consecutive shortage-free refills (see DecayQuietRefills()).
   std::size_t quiet_refills_ = 0;
+  std::size_t fresh_ = 0;
+  std::size_t trimmed_ = 0;
 };
 
 }  // namespace srl

@@ -111,6 +111,12 @@ const char* VmVariantName(VmVariant v) {
   return "?";
 }
 
+// Every stripe window VmaIndex can carve lies inside the page table's radix range.
+static_assert((VmaIndex::kStripeBase +
+               (uint64_t{VmaIndex::kMaxStripes} << VmaIndex::kStripeShift)) /
+                  AddressSpace::kPageSize <=
+              PageTable::kPages);
+
 AddressSpace::AddressSpace(VmVariant variant, unsigned stripes)
     : variant_(variant), index_(ResolveStripes(variant, stripes)),
       stats_(index_.StripeCount()) {
@@ -120,9 +126,6 @@ AddressSpace::AddressSpace(VmVariant variant, unsigned stripes)
   scoped_structural_ = cfg.scoped_structural;
   stripes_ = index_.StripeCount();
   lock_ = MakeVmLock(cfg.kind);
-  // kPageSize is 2^12; the page table's stripe bits sit kStripeShift - 12 up from the
-  // window origin (kMmapBase is not span-aligned, so the origin must be subtracted).
-  pages_.ConfigureStripes(VmaIndex::kStripeShift - 12, kMmapBase / kPageSize, stripes_);
   cursors_ = std::make_unique<CacheAligned<std::atomic<uint64_t>>[]>(stripes_);
   for (unsigned i = 0; i < stripes_; ++i) {
     cursors_[i].value.store(VmaIndex::WindowBase(i), std::memory_order_relaxed);
@@ -137,10 +140,10 @@ unsigned AddressSpace::HomeStripe() const {
   // so (a) threads on the same core share a stripe instead of bouncing its cache lines
   // to wherever registration order scattered them, and (b) with stripes >= cores,
   // co-located CPUs of one NUMA node map to a contiguous stripe block — the stripe's
-  // heads, cursor, and page-table shards stay node-local. The CPU is sampled once per
-  // thread (stripes must be stable per thread for the VMA-locality contract), so later
-  // migration does not re-home the thread — same trade-off the kernel makes for
-  // per-CPU-ish structures accessed without preemption protection.
+  // heads and cursor stay node-local. The CPU is sampled once per thread (stripes must
+  // be stable per thread for the VMA-locality contract), so later migration does not
+  // re-home the thread — same trade-off the kernel makes for per-CPU-ish structures
+  // accessed without preemption protection.
   //
   // Single-core hosts (or platforms without sched_getcpu) keep the old deterministic
   // registration-order policy: every thread would otherwise collapse onto stripe 0,

@@ -1,88 +1,184 @@
-// Sharded present-page set — the simulation's stand-in for hardware page tables.
+// Lock-free radix present-page table — the simulation's stand-in for hardware page
+// tables.
 //
 // The kernel's page-fault path, once it has validated the faulting address against the
-// VMA metadata (under mmap_sem / the range lock), installs a page-table entry under
-// finer-grained page-table locks. We reproduce that shape: a sharded hash set with
-// per-shard spin locks, accessed only after the VMA-level check passed.
+// VMA metadata, installs a page-table entry. Here the table is a radix tree over the
+// page index: three 512-way directory levels above 64-entry leaves (a 33-bit index,
+// 32 TiB of address space, which covers every stripe window VmaIndex can carve). A leaf
+// entry is one std::atomic<uint64_t> holding the install ticket of the page, 0 when the
+// page is absent. No operation takes a lock:
 //
-// Striped address spaces add a second axis: when the owning AddressSpace is striped
-// (ConfigureStripes), the 64 shards are partitioned into per-stripe *groups* — a
-// page's stripe bits pick its group, a Fibonacci hash spreads pages within the group.
-// The payoff is on munmap: a wide RemoveRange confined to one stripe sweeps only that
-// stripe's group of shards instead of all 64, and — more importantly under load —
-// never takes a shard lock a fault in another stripe could be holding. Unconfigured
-// (stripe count 1), the layout degenerates to exactly the old single-hash scheme.
+//   * a minor fault (page already present) is three directory loads and one entry load,
+//     and stores to no shared line;
+//   * a major fault CASes its own entry (or publishes a fresh leaf with the entry
+//     preset, one CAS on the directory slot);
+//   * removals clear entries with RMWs and drop the leaf's live count once per leaf.
+//
+// Directories are created on demand by CAS and never freed while the table lives; they
+// are bounded by the virtual address range ever installed into (4 KiB per 128 MiB).
+// Leaves are reclaimed as soon as they empty, because virtual addresses are never
+// reused and a churning workload would otherwise strand one leaf per mapping.
+//
+// Leaf lifetime. `Leaf::live` counts the leaf's non-zero entries plus in-flight install
+// reservations; its kDead bit ends the leaf. An installer reserves (live + 1, refused
+// once kDead is set) before it CASes an entry, so live never undercounts the non-zero
+// entries. A remover clears an entry and then drops live; the drop that would reach 0
+// CASes live straight to kDead instead, unlinks the leaf from its directory slot (a
+// CAS from the leaf to null) and retires it into the calling thread's NodePool<Leaf>.
+// An installer that meets a dead leaf helps unlink it and re-walks. Every operation
+// runs inside an EpochGuard on EpochDomain::Global(), so a leaf a concurrent walk may
+// still read is only reused or freed after that walk's section ends; a retired leaf
+// keeps every entry 0, so reuse writes only the entry it installs.
+//
+// Tickets. Each successful install gets a ticket unique in the process (the calling
+// thread's id in the high bits, a per-thread counter in the low bits). A per-leaf
+// counter would repeat once a leaf dies and a fresh one takes its slot, and then a
+// losing fault's RemoveExact could erase the winning fault's re-install.
+//
+// Ordering against munmap. The speculative fault installs, increments its VMA's
+// present_hint, runs a SeqCstFence and only then validates the stripe seqcount.
+// ApplyMunmapLocked bumps that seqcount, runs a SeqCstFence and then reads the hints
+// and, through RemoveRange, the directory slots and entries. Between the two fences
+// either the fault's validation sees the bump (it loses and undoes its own install by
+// ticket), or every load of the sweep comes after the fault's install: the directory
+// slot store of a freshly published leaf and the entry store alike. So a fault whose
+// validation passed has its page erased by the sweep, and no page survives in an
+// unmapped range.
 #ifndef SRL_VM_PAGE_TABLE_H_
 #define SRL_VM_PAGE_TABLE_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
-#include "src/sync/cacheline.h"
-#include "src/sync/spin_lock.h"
+#include "src/epoch/epoch_domain.h"
+#include "src/epoch/node_pool.h"
 
 namespace srl::vm {
 
 class PageTable {
  public:
-  static constexpr std::size_t kShards = 64;
+  static constexpr unsigned kLeafBits = 6;
+  static constexpr unsigned kDirBits = 9;
+  static constexpr uint64_t kLeafSlots = uint64_t{1} << kLeafBits;
+  // Pages the three directory levels can address: page indices are < kPages.
+  static constexpr uint64_t kPages = uint64_t{1} << (kLeafBits + 3 * kDirBits);
 
-  // Binds the shard layout to the address-space striping. `stripe_page_shift` is the
-  // stripe shift in page units (VmaIndex::kStripeShift - page shift) and `base_page`
-  // the first stripe window's base in page units — the same origin VmaIndex::IndexOf
-  // subtracts, without which every 64 GiB window (base is not span-aligned) would
-  // straddle two shard groups and adjacent stripes would share shard locks. `stripes`
-  // must be a power of two. Call once, before any page is installed. Never calling it
-  // leaves one group of 64 shards — the unstriped layout.
-  void ConfigureStripes(uint64_t stripe_page_shift, uint64_t base_page,
-                        unsigned stripes) {
-    stripe_page_shift_ = stripe_page_shift;
-    base_page_ = base_page;
-    groups_ = stripes < kShards ? stripes : static_cast<unsigned>(kShards);
-    per_group_ = static_cast<unsigned>(kShards) / groups_;
-    group_hash_shift_ = 64;
-    for (unsigned p = per_group_; p > 1; p >>= 1) {
-      --group_hash_shift_;
+  // A leaf: 64 consecutive pages. Public so tests can account for the leaf pool.
+  struct Leaf {
+    static constexpr uint64_t kDead = uint64_t{1} << 63;
+    std::atomic<uint64_t> live{0};  // non-zero entries + install reservations | kDead
+    Leaf* pool_next = nullptr;      // NodePool link while the leaf is free
+    std::atomic<uint64_t> slot[kLeafSlots]{};  // install ticket, 0 = absent
+  };
+  using LeafPool = NodePool<Leaf>;
+
+  PageTable() = default;
+  PageTable(const PageTable&) = delete;
+  PageTable& operator=(const PageTable&) = delete;
+
+  ~PageTable() {
+    for (auto& m : root_.slot) {
+      Mid* mid = m.load(std::memory_order_relaxed);
+      if (mid == nullptr) {
+        continue;
+      }
+      for (auto& b : mid->slot) {
+        Bottom* bottom = b.load(std::memory_order_relaxed);
+        if (bottom == nullptr) {
+          continue;
+        }
+        for (auto& l : bottom->slot) {
+          delete l.load(std::memory_order_relaxed);
+        }
+        delete bottom;
+      }
+      delete mid;
     }
   }
 
   // Installs the page; returns true if it was not already present (a "major" fault).
-  // On install, *ticket receives a shard-unique install ticket (never 0) identifying
-  // THIS installation of the page — a later RemoveExact with the same ticket removes
-  // the page only if no one re-installed it in between. On a minor fault (page already
-  // present) *ticket is set to 0.
+  // On install, *ticket receives the process-unique install ticket (never 0) of THIS
+  // installation of the page — a later RemoveExact with the same ticket removes the
+  // page only if no one re-installed it in between. On a minor fault (page already
+  // present) *ticket is set to 0. `page_index` must be below kPages.
   bool Install(uint64_t page_index, uint64_t* ticket = nullptr) {
-    Shard& s = ShardFor(page_index);
-    std::lock_guard<SpinLock> g(s.lock);
-    const auto [it, inserted] = s.pages.try_emplace(page_index, s.next_ticket);
-    if (inserted) {
-      if (ticket != nullptr) {
-        *ticket = s.next_ticket;
+    if (page_index >= kPages) {
+      std::fprintf(stderr, "PageTable: page index %llu beyond the radix range\n",
+                   static_cast<unsigned long long>(page_index));
+      std::abort();
+    }
+    EpochGuard guard(EpochDomain::Global());
+    const unsigned i = SlotOf(page_index);
+    std::atomic<Leaf*>& ls = LeafSlotCreate(page_index);
+    for (;;) {
+      Leaf* leaf = ls.load(std::memory_order_acquire);
+      if (leaf == nullptr) {
+        // Publish a fresh leaf already holding the page: one CAS, and live starts at
+        // the one entry it holds.
+        const uint64_t t = NextTicket();
+        Leaf* fresh = LeafPool::Local().Alloc();
+        fresh->live.store(1, std::memory_order_relaxed);
+        fresh->slot[i].store(t, std::memory_order_relaxed);
+        if (ls.compare_exchange_strong(leaf, fresh, std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+          SetTicket(ticket, t);
+          return true;
+        }
+        // Lost the publish race; the leaf never became reachable.
+        fresh->slot[i].store(0, std::memory_order_relaxed);
+        LeafPool::Local().Recycle(fresh);
+        continue;
       }
-      ++s.next_ticket;
-      return true;
+      if (leaf->slot[i].load(std::memory_order_acquire) != 0) {
+        SetTicket(ticket, 0);
+        return false;  // minor fault: nothing written
+      }
+      if (!Reserve(leaf)) {
+        Unlink(ls, leaf);  // dead: help unlink, then re-walk
+        continue;
+      }
+      const uint64_t t = NextTicket();
+      uint64_t expected = 0;
+      if (leaf->slot[i].compare_exchange_strong(expected, t, std::memory_order_acq_rel,
+                                                std::memory_order_acquire)) {
+        SetTicket(ticket, t);
+        return true;  // the reservation now counts the entry
+      }
+      Release(ls, leaf, 1);  // another install won the entry
+      SetTicket(ticket, 0);
+      return false;
     }
-    if (ticket != nullptr) {
-      *ticket = 0;
-    }
-    return false;
   }
 
-  bool Present(uint64_t page_index) {
-    Shard& s = ShardFor(page_index);
-    std::lock_guard<SpinLock> g(s.lock);
-    return s.pages.count(page_index) != 0;
+  bool Present(uint64_t page_index) const {
+    EpochGuard guard(EpochDomain::Global());
+    std::atomic<Leaf*>* ls = LeafSlot(page_index);
+    const Leaf* leaf = ls == nullptr ? nullptr : ls->load(std::memory_order_acquire);
+    return leaf != nullptr &&
+           leaf->slot[SlotOf(page_index)].load(std::memory_order_acquire) != 0;
   }
 
   // Drops one page; returns true if it was present. Blind removal: whatever install
   // currently backs the page is erased, including another thread's. Only the blind-
   // undo test hook uses this on the fault path; see RemoveExact.
   bool Remove(uint64_t page_index) {
-    Shard& s = ShardFor(page_index);
-    std::lock_guard<SpinLock> g(s.lock);
-    return s.pages.erase(page_index) > 0;
+    EpochGuard guard(EpochDomain::Global());
+    std::atomic<Leaf*>* ls = LeafSlot(page_index);
+    Leaf* leaf = ls == nullptr ? nullptr : ls->load(std::memory_order_acquire);
+    if (leaf == nullptr) {
+      return false;
+    }
+    std::atomic<uint64_t>& e = leaf->slot[SlotOf(page_index)];
+    if (e.load(std::memory_order_acquire) == 0 ||
+        e.exchange(0, std::memory_order_acq_rel) == 0) {
+      return false;
+    }
+    Release(*ls, leaf, 1);
+    return true;
   }
 
   // Drops the page only if it is still backed by the install that produced `ticket`.
@@ -91,13 +187,18 @@ class PageTable {
   // or MADV_DONTNEED and re-installed by a winning fault — a blind Remove would erase
   // the winner's page and corrupt its VMA's present-page accounting.
   bool RemoveExact(uint64_t page_index, uint64_t ticket) {
-    Shard& s = ShardFor(page_index);
-    std::lock_guard<SpinLock> g(s.lock);
-    const auto it = s.pages.find(page_index);
-    if (it == s.pages.end() || it->second != ticket) {
+    EpochGuard guard(EpochDomain::Global());
+    std::atomic<Leaf*>* ls = LeafSlot(page_index);
+    Leaf* leaf = ls == nullptr ? nullptr : ls->load(std::memory_order_acquire);
+    if (leaf == nullptr) {
       return false;
     }
-    s.pages.erase(it);
+    uint64_t expected = ticket;
+    if (!leaf->slot[SlotOf(page_index)].compare_exchange_strong(
+            expected, 0, std::memory_order_acq_rel, std::memory_order_acquire)) {
+      return false;
+    }
+    Release(*ls, leaf, 1);
     return true;
   }
 
@@ -105,128 +206,208 @@ class PageTable {
   // drains to zero for every unmapped range. Not a consistent snapshot under concurrent
   // mutation (same caveat as AllPages).
   std::size_t CountRange(uint64_t first_page, uint64_t last_page) const {
+    EpochGuard guard(EpochDomain::Global());
     std::size_t n = 0;
-    if (last_page - first_page <= 4096) {
-      for (uint64_t p = first_page; p < last_page; ++p) {
-        const Shard& s = ShardFor(p);
-        std::lock_guard<SpinLock> g(s.lock);
-        n += s.pages.count(p);
-      }
-      return n;
-    }
-    for (const std::size_t i : ShardsCovering(first_page, last_page)) {
-      std::lock_guard<SpinLock> g(shards_[i].value.lock);
-      for (const auto& [p, ticket] : shards_[i].value.pages) {
-        if (p >= first_page && p < last_page) {
-          ++n;
+    ForEachLeaf(first_page, last_page,
+                [&](std::atomic<Leaf*>&, Leaf* leaf, unsigned lo, unsigned hi, uint64_t) {
+                  for (unsigned i = lo; i < hi; ++i) {
+                    n += leaf->slot[i].load(std::memory_order_acquire) != 0;
+                  }
+                });
+    return n;
+  }
+
+  // Drops pages in [first_page, last_page). Walks only directories that exist, and
+  // drops each leaf's live count once for all the entries it cleared there.
+  void RemoveRange(uint64_t first_page, uint64_t last_page) {
+    EpochGuard guard(EpochDomain::Global());
+    ForEachLeaf(first_page, last_page, [&](std::atomic<Leaf*>& ls, Leaf* leaf,
+                                           unsigned lo, unsigned hi, uint64_t) {
+      uint64_t cleared = 0;
+      for (unsigned i = lo; i < hi; ++i) {
+        std::atomic<uint64_t>& e = leaf->slot[i];
+        if (e.load(std::memory_order_acquire) != 0 &&
+            e.exchange(0, std::memory_order_acq_rel) != 0) {
+          ++cleared;
         }
       }
-    }
-    return n;
-  }
-
-  // Drops pages in [first_page, last_page). A wide range sweeps only the shard groups
-  // of the stripes the range covers — a stripe-confined munmap never touches (or
-  // locks) another stripe's shards.
-  void RemoveRange(uint64_t first_page, uint64_t last_page) {
-    if (last_page - first_page <= 4096) {
-      // Narrow ranges (the common arena-trim case): erase page by page.
-      for (uint64_t p = first_page; p < last_page; ++p) {
-        Shard& s = ShardFor(p);
-        std::lock_guard<SpinLock> g(s.lock);
-        s.pages.erase(p);
+      if (cleared != 0) {
+        Release(ls, leaf, cleared);
       }
-      return;
-    }
-    for (const std::size_t i : ShardsCovering(first_page, last_page)) {
-      std::lock_guard<SpinLock> g(shards_[i].value.lock);
-      std::erase_if(shards_[i].value.pages, [&](const auto& entry) {
-        return entry.first >= first_page && entry.first < last_page;
-      });
-    }
+    });
   }
 
-  std::size_t Count() const {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < kShards; ++i) {
-      std::lock_guard<SpinLock> g(shards_[i].value.lock);
-      n += shards_[i].value.pages.size();
-    }
-    return n;
-  }
+  std::size_t Count() const { return CountRange(0, kPages); }
 
   // All present page indices (tests / invariant checks; not a consistent snapshot under
   // concurrent mutation).
   std::vector<uint64_t> AllPages() const {
+    EpochGuard guard(EpochDomain::Global());
     std::vector<uint64_t> out;
-    for (std::size_t i = 0; i < kShards; ++i) {
-      std::lock_guard<SpinLock> g(shards_[i].value.lock);
-      for (const auto& [p, ticket] : shards_[i].value.pages) {
-        out.push_back(p);
-      }
-    }
+    ForEachLeaf(0, kPages,
+                [&](std::atomic<Leaf*>&, Leaf* leaf, unsigned lo, unsigned hi,
+                    uint64_t first) {
+                  for (unsigned i = lo; i < hi; ++i) {
+                    if (leaf->slot[i].load(std::memory_order_acquire) != 0) {
+                      out.push_back(first + i);
+                    }
+                  }
+                });
     return out;
+  }
+
+  // Leaves currently linked into the tree (tests: leaf-pool conservation).
+  std::size_t LeafCount() const {
+    EpochGuard guard(EpochDomain::Global());
+    std::size_t n = 0;
+    ForEachLeaf(0, kPages,
+                [&](std::atomic<Leaf*>&, Leaf*, unsigned, unsigned, uint64_t) { ++n; });
+    return n;
   }
 
  private:
-  struct Shard {
-    mutable SpinLock lock;
-    // page index -> install ticket (see Install/RemoveExact). Tickets start at 1 so 0
-    // can mean "minor fault, no install of mine to undo".
-    std::unordered_map<uint64_t, uint64_t> pages;
-    uint64_t next_ticket = 1;
+  static constexpr unsigned kBottomShift = kLeafBits;
+  static constexpr unsigned kMidShift = kLeafBits + kDirBits;
+  static constexpr unsigned kTopShift = kLeafBits + 2 * kDirBits;
+  static constexpr uint64_t kFanout = uint64_t{1} << kDirBits;
+
+  template <typename Child>
+  struct Dir {
+    std::atomic<Child*> slot[kFanout]{};
   };
+  using Bottom = Dir<Leaf>;
+  using Mid = Dir<Bottom>;
+  using Top = Dir<Mid>;
 
-  // Page index relative to the first stripe window (pages below it belong to group 0,
-  // mirroring VmaIndex::IndexOf's clamp).
-  uint64_t RelPage(uint64_t page_index) const {
-    return page_index >= base_page_ ? page_index - base_page_ : 0;
+  static unsigned SlotOf(uint64_t page) {
+    return static_cast<unsigned>(page & (kLeafSlots - 1));
+  }
+  static unsigned DirIndex(uint64_t page, unsigned shift) {
+    return static_cast<unsigned>((page >> shift) & (kFanout - 1));
   }
 
-  unsigned GroupOf(uint64_t page_index) const {
-    return static_cast<unsigned>(RelPage(page_index) >> stripe_page_shift_) &
-           (groups_ - 1);
-  }
-
-  Shard& ShardFor(uint64_t page_index) const {
-    // Stripe bits pick the group; a Fibonacci hash spreads consecutive pages across
-    // the group's shards.
-    const unsigned within =
-        per_group_ == 1
-            ? 0
-            : static_cast<unsigned>((page_index * 0x9e3779b97f4a7c15ull) >>
-                                    group_hash_shift_);
-    return shards_[GroupOf(page_index) * per_group_ + within].value;
-  }
-
-  // Shard indices whose group intersects [first_page, last_page), deduplicated.
-  std::vector<std::size_t> ShardsCovering(uint64_t first_page, uint64_t last_page) const {
-    std::vector<std::size_t> out;
-    const uint64_t s0 = RelPage(first_page) >> stripe_page_shift_;
-    const uint64_t s1 = RelPage(last_page - 1) >> stripe_page_shift_;
-    if (s1 - s0 + 1 >= groups_) {
-      out.reserve(kShards);
-      for (std::size_t i = 0; i < kShards; ++i) {
-        out.push_back(i);
-      }
-      return out;
+  static void SetTicket(uint64_t* out, uint64_t t) {
+    if (out != nullptr) {
+      *out = t;
     }
-    for (uint64_t s = s0; s <= s1; ++s) {
-      const unsigned g = static_cast<unsigned>(s) & (groups_ - 1);
-      for (unsigned j = 0; j < per_group_; ++j) {
-        out.push_back(static_cast<std::size_t>(g) * per_group_ + j);
-      }
-    }
-    return out;
   }
 
-  mutable CacheAligned<Shard> shards_[kShards];
-  // Shard-layout parameters; written once by ConfigureStripes before any use.
-  uint64_t stripe_page_shift_ = 24;  // matches VmaIndex::kStripeShift - 12
-  uint64_t base_page_ = 0;           // first window base, page units
-  unsigned groups_ = 1;
-  unsigned per_group_ = kShards;
-  unsigned group_hash_shift_ = 58;  // 64 - log2(per_group_)
+  // Process-unique, never 0: thread id << 40 | per-thread counter (from 1).
+  static uint64_t NextTicket() {
+    static std::atomic<uint64_t> next_thread{0};
+    thread_local uint64_t next =
+        (next_thread.fetch_add(1, std::memory_order_relaxed) << 40) | 1;
+    return next++;
+  }
+
+  // The child at `slot`, created by CAS when absent. Directories are never freed
+  // while the table lives, so no epoch protection is needed for them.
+  template <typename Child>
+  static Child* ChildCreate(std::atomic<Child*>& slot) {
+    Child* c = slot.load(std::memory_order_acquire);
+    if (c != nullptr) {
+      return c;
+    }
+    Child* fresh = new Child();
+    if (slot.compare_exchange_strong(c, fresh, std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      return fresh;
+    }
+    delete fresh;
+    return c;
+  }
+
+  std::atomic<Leaf*>& LeafSlotCreate(uint64_t page) {
+    Mid* mid = ChildCreate(root_.slot[page >> kTopShift]);
+    Bottom* bottom = ChildCreate(mid->slot[DirIndex(page, kMidShift)]);
+    return bottom->slot[DirIndex(page, kBottomShift)];
+  }
+
+  // The directory slot holding `page`'s leaf, or null when a directory on the way is
+  // absent (or the index is out of range).
+  std::atomic<Leaf*>* LeafSlot(uint64_t page) const {
+    if (page >= kPages) {
+      return nullptr;
+    }
+    Mid* mid = root_.slot[page >> kTopShift].load(std::memory_order_acquire);
+    if (mid == nullptr) {
+      return nullptr;
+    }
+    Bottom* bottom = mid->slot[DirIndex(page, kMidShift)].load(std::memory_order_acquire);
+    return bottom == nullptr ? nullptr : &bottom->slot[DirIndex(page, kBottomShift)];
+  }
+
+  // Calls fn(leaf_slot, leaf, lo, hi, leaf_first_page) for every linked leaf that
+  // overlaps [first, last), with [lo, hi) the overlapping entry indices. Skips absent
+  // directories whole. Callers hold an epoch section.
+  template <typename Fn>
+  void ForEachLeaf(uint64_t first, uint64_t last, Fn&& fn) const {
+    last = std::min(last, kPages);
+    uint64_t p = first;
+    while (p < last) {
+      Mid* mid = root_.slot[p >> kTopShift].load(std::memory_order_acquire);
+      if (mid == nullptr) {
+        p = ((p >> kTopShift) + 1) << kTopShift;
+        continue;
+      }
+      Bottom* bottom = mid->slot[DirIndex(p, kMidShift)].load(std::memory_order_acquire);
+      if (bottom == nullptr) {
+        p = ((p >> kMidShift) + 1) << kMidShift;
+        continue;
+      }
+      const uint64_t leaf_first = p & ~(kLeafSlots - 1);
+      const uint64_t next = leaf_first + kLeafSlots;
+      std::atomic<Leaf*>& ls = bottom->slot[DirIndex(p, kBottomShift)];
+      Leaf* leaf = ls.load(std::memory_order_acquire);
+      if (leaf != nullptr) {
+        fn(ls, leaf, SlotOf(p), static_cast<unsigned>(std::min(next, last) - leaf_first),
+           leaf_first);
+      }
+      p = next;
+    }
+  }
+
+  // Takes an install reservation; false once the leaf is dead.
+  static bool Reserve(Leaf* leaf) {
+    uint64_t l = leaf->live.load(std::memory_order_relaxed);
+    do {
+      if ((l & Leaf::kDead) != 0) {
+        return false;
+      }
+    } while (!leaf->live.compare_exchange_weak(l, l + 1, std::memory_order_acq_rel,
+                                               std::memory_order_relaxed));
+    return true;
+  }
+
+  // Drops `n` from live after clearing n entries (or abandoning a reservation). The
+  // drop that would reach 0 kills the leaf instead: live goes straight to kDead, the
+  // leaf is unlinked and retired. One CAS in the common case.
+  static void Release(std::atomic<Leaf*>& ls, Leaf* leaf, uint64_t n) {
+    uint64_t l = leaf->live.load(std::memory_order_relaxed);
+    for (;;) {
+      if (l == n) {
+        if (leaf->live.compare_exchange_weak(l, Leaf::kDead, std::memory_order_acq_rel,
+                                             std::memory_order_relaxed)) {
+          Unlink(ls, leaf);
+          LeafPool::Local().Retire(leaf);
+          return;
+        }
+      } else if (leaf->live.compare_exchange_weak(l, l - n, std::memory_order_acq_rel,
+                                                  std::memory_order_relaxed)) {
+        return;
+      }
+    }
+  }
+
+  // Unlinks a dead leaf from its slot unless someone already did. The slot cannot hold
+  // a new incarnation of the same leaf: only the killer retires it, after this CAS or a
+  // helper's, and the caller's epoch section keeps it from being reused meanwhile.
+  static void Unlink(std::atomic<Leaf*>& ls, Leaf* leaf) {
+    ls.compare_exchange_strong(leaf, nullptr, std::memory_order_acq_rel,
+                               std::memory_order_relaxed);
+  }
+
+  Top root_;
 };
 
 }  // namespace srl::vm

@@ -239,9 +239,12 @@ TYPED_TEST(LockFuzzTest, SingleThreadTryExactness) {
 // list when it gives up, so ownership transfers to the list and exactly one future
 // traversal — often the racing writer's own validate — must Retire it, possibly into
 // the *other* thread's pool. The assertion is cross-thread pool conservation: after the
-// worker stops and a final sweep collects all marked residue, the two threads' pools
-// must sum to their baselines. A leak (self-deleted node never reclaimed) or a double
-// return (self-delete path also Recycling) breaks the sum in opposite directions.
+// worker stops and a final sweep collects all marked residue, the two threads' pool
+// balances must sum to their baselines. A leak (self-deleted node never reclaimed) or a
+// double return (self-delete path also Recycling) breaks the sum in opposite
+// directions. The balance counts every node a pool holds, parked batches included, net
+// of the nodes it took from or gave back to the system allocator, so a refill's
+// Replenish or a Trim during the run leaves it unchanged.
 //
 // Geometry (Figure 1's concurrent-insertion shape): the main thread holds reader anchor
 // X = {2,4}; its timed reader {0,20} sorts BEFORE X (reader-reader, by start) while the
@@ -256,20 +259,19 @@ TYPED_TEST(LockFuzzTest, TimedReaderLostRaceConservesPoolNodes) {
   }
   constexpr int kWorkerOps = 64;
   TypeParam adapter;
-  auto pool_total = [] {
+  auto pool_balance = [] {
     auto& pool = NodePool<LNode>::Local();
-    return pool.ActiveSize() + pool.ReclaimedSize();
+    return static_cast<int64_t>(pool.ActiveSize() + pool.ReclaimedSize() +
+                                pool.ParkedSize() + pool.TrimmedCount()) -
+           static_cast<int64_t>(pool.FreshCount());
   };
-  auto parked = [] { return NodePool<LNode>::Local().ParkedBatches(); };
 
   auto far_anchor = adapter.AcquireWrite({1000, 1064});  // all buckets: no fast path
   std::atomic<int> phase{0};
-  std::atomic<std::size_t> worker_baseline{0};
-  std::atomic<std::size_t> worker_final{0};
-  std::atomic<std::size_t> worker_parked_delta{0};
+  std::atomic<int64_t> worker_baseline{0};
+  std::atomic<int64_t> worker_final{0};
   std::thread worker([&] {
-    const std::size_t parked0 = parked();
-    worker_baseline.store(pool_total());
+    worker_baseline.store(pool_balance());
     phase.store(1);
     while (phase.load() < 2) {
       CpuRelax();
@@ -285,19 +287,17 @@ TYPED_TEST(LockFuzzTest, TimedReaderLostRaceConservesPoolNodes) {
     while (phase.load() < 4) {
       CpuRelax();
     }
-    worker_final.store(pool_total());
-    worker_parked_delta.store(parked() - parked0);
+    worker_final.store(pool_balance());
   });
   while (phase.load() < 1) {
     CpuRelax();
   }
-  const std::size_t my_parked0 = parked();
   auto sweep = [&] {
     auto h = adapter.AcquireWrite({0, 100});
     adapter.Release(h);
   };
   sweep();
-  const std::size_t baseline_sum = pool_total() + worker_baseline.load();
+  const int64_t baseline_sum = pool_balance() + worker_baseline.load();
   auto x_anchor = adapter.AcquireRead({2, 4});
   phase.store(2);
   while (phase.load() < 3) {
@@ -308,14 +308,10 @@ TYPED_TEST(LockFuzzTest, TimedReaderLostRaceConservesPoolNodes) {
   }
   adapter.Release(x_anchor);
   sweep();  // collects every marked node, the worker's and the aborted readers' alike
-  const std::size_t my_final = pool_total();
+  const int64_t my_final = pool_balance();
   phase.store(4);
   worker.join();
-  // Parked batches are invisible to pool_total; concurrent refills can park, so only
-  // assert exact conservation when neither side parked a batch during the run.
-  if (my_parked0 == parked() && worker_parked_delta.load() == 0) {
-    EXPECT_EQ(my_final + worker_final.load(), baseline_sum);
-  }
+  EXPECT_EQ(my_final + worker_final.load(), baseline_sum);
   adapter.Release(far_anchor);
 }
 

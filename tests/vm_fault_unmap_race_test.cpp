@@ -147,7 +147,7 @@ TEST_P(VmFaultUnmapRaceTest, FaultVsUnmapOracle) {
     g.prot = (i % 2 == 0) ? (kProtRead | kProtWrite) : kProtRead;
     g.pages = kArenaPages;
     // Generations round-robin across the stripes so every stripe's seqcount, retire
-    // list, and page-table shard group carries fault-vs-unmap races.
+    // list, and page-table subtree carries fault-vs-unmap races.
     g.base = as.MmapInStripe(static_cast<unsigned>(i) % as.Stripes(), g.pages * kPage,
                              g.prot);
     ASSERT_NE(g.base, 0u);

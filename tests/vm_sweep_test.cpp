@@ -12,41 +12,11 @@
 #include <gtest/gtest.h>
 
 #include "src/vm/address_space.h"
-#include "src/vm/page_table.h"
 
 namespace srl::vm {
 namespace {
 
 constexpr uint64_t kPage = AddressSpace::kPageSize;
-
-// --- PageTable boundary contract (the inclusive/exclusive audit's pin) ----------
-
-// Every PageTable range is [first_page, last_page) with an EXCLUSIVE end. The case
-// that would expose an off-by-one is a range ending exactly on a stripe-shard edge:
-// the group walk must include the edge's left neighbour and exclude the edge itself.
-TEST(VmSweepPageTableTest, RemoveRangeStopsAtStripeShardEdge) {
-  PageTable pt;
-  const uint64_t shift = VmaIndex::kStripeShift - 12;  // stripe shift in page units
-  const uint64_t base = AddressSpace::kMmapBase / kPage;
-  pt.ConfigureStripes(shift, base, 4);
-
-  const uint64_t edge = base + (uint64_t{1} << shift);  // first page of window 1
-  ASSERT_TRUE(pt.Install(edge - 1));
-  ASSERT_TRUE(pt.Install(edge));
-
-  // Narrow (page-by-page) path: end exactly on the edge.
-  pt.RemoveRange(edge - 4, edge);
-  EXPECT_FALSE(pt.Present(edge - 1));
-  EXPECT_TRUE(pt.Present(edge)) << "exclusive end erased the next window's first page";
-  EXPECT_EQ(pt.CountRange(edge - 4, edge), 0u);
-  EXPECT_EQ(pt.CountRange(edge, edge + 1), 1u);
-
-  // Wide (shard-group walk) path: the whole first window, same exclusive edge.
-  ASSERT_TRUE(pt.Install(edge - 1));
-  pt.RemoveRange(base, edge);
-  EXPECT_FALSE(pt.Present(edge - 1));
-  EXPECT_TRUE(pt.Present(edge)) << "shard-group walk crossed the window edge";
-}
 
 struct SweepParam {
   VmVariant variant;
@@ -206,8 +176,8 @@ TEST_P(VmSweepTest, CrossStripeMunmapSplitsTheSweepAtTheWindowEdge) {
   }
 
   // One munmap spanning the edge: unmaps all of `a`, clips `b`'s first page. The
-  // dead range is a window wide, so the sweep walks the shard group of each stripe it
-  // covers and must clip exactly at `b + kPage` inside the second one.
+  // dead range is a window wide, so the sweep walks the page-table subtree of each
+  // stripe it covers and must clip exactly at `b + kPage` inside the second one.
   ASSERT_TRUE(as.Munmap(a, b + kPage - a));
   EXPECT_EQ(as.PresentPagesInRange(a, 4 * kPage), 0u);
   EXPECT_EQ(as.PresentPagesInRange(b, kPage), 0u) << "clipped head page survived";
