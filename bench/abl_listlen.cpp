@@ -11,9 +11,18 @@
 // of held ranges share a handful of windows, so its search degenerates to linear too —
 // the geometry-vs-precision trade the skiplist index removes.
 //
-// Flags: --held=0,16,64,256,1024,4096  --secs=0.25  --repeats=1  --csv
-//        --json=BENCH_listlen.json
+// The held ranges are acquired in one of three orders (--orders): ascending (each
+// one lands at the tail), descending (each one lands at the head) or a fixed random
+// shuffle. The lists end up the same whatever the order; an index need not, and the
+// skiplist's is built from what its acquisitions' searches saw, so the probe's cost
+// can depend on the order.
+//
+// Flags: --held=0,16,64,256,1024,4096  --orders=asc,desc,random  --secs=0.25
+//        --repeats=1  --csv  --json=BENCH_listlen.json
+#include <algorithm>
 #include <iostream>
+#include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -73,16 +82,33 @@ struct SkiplistIndexed {
   }
 };
 
+// Fills `out` with the slot indices in the order the held ranges are acquired. False
+// for an unknown order name.
+bool AcquireOrder(const std::string& order, int held, std::vector<int>* out) {
+  out->resize(static_cast<std::size_t>(held));
+  std::iota(out->begin(), out->end(), 0);
+  if (order == "desc") {
+    std::reverse(out->begin(), out->end());
+  } else if (order == "random") {
+    std::mt19937_64 rng(0x11571e2);  // fixed: every lock sees the same shuffle
+    std::shuffle(out->begin(), out->end(), rng);
+  } else if (order != "asc") {
+    return false;
+  }
+  return true;
+}
+
 template <typename LockT>
-Summary RunOne(int held, double secs, int repeats) {
+Summary RunOne(const std::vector<int>& order, double secs, int repeats) {
+  const int held = static_cast<int>(order.size());
   return MeasureThroughputRepeated(
       1, secs, repeats, [&](int, std::atomic<bool>& stop) {
         LockT adapter;
         using Handle = decltype(adapter.Acquire(Range{0, 1}));
         std::vector<Handle> handles;
-        handles.reserve(static_cast<std::size_t>(held));
-        for (int i = 0; i < held; ++i) {
-          const uint64_t base = static_cast<uint64_t>(i) * kStride;
+        handles.reserve(order.size());
+        for (int slot : order) {
+          const uint64_t base = static_cast<uint64_t>(slot) * kStride;
           handles.push_back(adapter.Acquire({base, base + kStride / 2}));
         }
         // Probe in the gap after the last held range: greater than every held start
@@ -105,23 +131,32 @@ Summary RunOne(int held, double secs, int repeats) {
       });
 }
 
-void RunPanel(const std::vector<int>& held_counts, double secs, int repeats, bool csv,
-              BenchJson* json) {
+bool RunPanel(const std::vector<int>& held_counts, const std::vector<std::string>& orders,
+              double secs, int repeats, bool csv, BenchJson* json) {
   std::cout << "\n=== List-length ablation — probe acquire/release after K held "
                "ranges, ops/sec ===\n";
-  Table table({"lock", "held", "ops/sec", "rel-stddev%"});
-  auto add = [&](const char* name, int held, const Summary& s) {
-    table.AddRow({name, std::to_string(held), Table::Num(s.mean, 0),
-                  Table::Num(s.RelStddevPct(), 1)});
-  };
-  for (int held : held_counts) {
-    add(ListEx::Name(), held, RunOne<ListEx>(held, secs, repeats));
-    add(ListLf::Name(), held, RunOne<ListLf>(held, secs, repeats));
-    add(LustreEx::Name(), held, RunOne<LustreEx>(held, secs, repeats));
-    add(SkiplistIndexed::Name(), held, RunOne<SkiplistIndexed>(held, secs, repeats));
+  Table table({"lock", "order", "held", "ops/sec", "rel-stddev%"});
+  for (const std::string& order_name : orders) {
+    for (int held : held_counts) {
+      std::vector<int> order;
+      if (!AcquireOrder(order_name, held, &order)) {
+        std::cerr << "abl_listlen: unknown order '" << order_name
+                  << "' (want asc, desc or random)\n";
+        return false;
+      }
+      auto add = [&](const char* name, const Summary& s) {
+        table.AddRow({name, order_name, std::to_string(held), Table::Num(s.mean, 0),
+                      Table::Num(s.RelStddevPct(), 1)});
+      };
+      add(ListEx::Name(), RunOne<ListEx>(order, secs, repeats));
+      add(ListLf::Name(), RunOne<ListLf>(order, secs, repeats));
+      add(LustreEx::Name(), RunOne<LustreEx>(order, secs, repeats));
+      add(SkiplistIndexed::Name(), RunOne<SkiplistIndexed>(order, secs, repeats));
+    }
   }
   table.Print(std::cout, csv);
   json->AddTable({{"stride", std::to_string(kStride)}}, table);
+  return true;
 }
 
 }  // namespace
@@ -130,16 +165,20 @@ void RunPanel(const std::vector<int>& held_counts, double secs, int repeats, boo
 int main(int argc, char** argv) {
   srl::Cli cli(argc, argv);
   if (cli.Has("--help")) {
-    std::cout << "abl_listlen --held=0,16,64,256,1024,4096 --secs=0.25 --repeats=1 "
-                 "--csv --json=BENCH_listlen.json\n";
+    std::cout << "abl_listlen --held=0,16,64,256,1024,4096 --orders=asc,desc,random "
+                 "--secs=0.25 --repeats=1 --csv --json=BENCH_listlen.json\n";
     return 0;
   }
   const std::vector<int> held = cli.GetIntList("--held", {0, 16, 64, 256, 1024, 4096});
+  const std::vector<std::string> orders =
+      cli.GetStringList("--orders", {"asc", "desc", "random"});
   const double secs = cli.GetDouble("--secs", 0.25);
   const int repeats = static_cast<int>(cli.GetInt("--repeats", 1));
   const bool csv = cli.GetBool("--csv");
 
   srl::BenchJson json("abl_listlen");
-  srl::RunPanel(held, secs, repeats, csv, &json);
+  if (!srl::RunPanel(held, orders, secs, repeats, csv, &json)) {
+    return 2;
+  }
   return json.Write(cli.JsonPath()) ? 0 : 1;
 }

@@ -247,11 +247,14 @@ TYPED_TEST(LockFuzzTest, SingleThreadTryExactness) {
 // Replenish or a Trim during the run leaves it unchanged.
 //
 // Geometry (Figure 1's concurrent-insertion shape): the main thread holds reader anchor
-// X = {2,4}; its timed reader {0,20} sorts BEFORE X (reader-reader, by start) while the
-// worker's writer {10,15} sorts AFTER X — two different insertion points, so both CASes
+// X = {1,2}; its timed reader {0,4} sorts BEFORE X (reader-reader, by start) while the
+// worker's writer {3,4} sorts AFTER X — two different insertion points, so both CASes
 // can succeed concurrently and the conflict is only caught in validation, where the
-// reader's short deadline forces the self-delete. Exclusive adapters degrade gracefully
-// (the timed op conflicts with the thread's own anchor and aborts pre-insertion), still
+// reader's short deadline forces the self-delete. All three ranges lie in one 4-unit
+// window, so on the bucketed adapter they share a bucket and X separates them there
+// too; ranges spanning several windows would meet without X in some bucket, where the
+// conflict is caught at insertion instead. Exclusive adapters degrade gracefully (the
+// timed op conflicts with the thread's own anchor and aborts pre-insertion), still
 // checking try/timed conservation.
 TYPED_TEST(LockFuzzTest, TimedReaderLostRaceConservesPoolNodes) {
   if (!TypeParam::kUsesNodePool) {
@@ -277,9 +280,12 @@ TYPED_TEST(LockFuzzTest, TimedReaderLostRaceConservesPoolNodes) {
       CpuRelax();
     }
     for (int i = 0; i < kWorkerOps; ++i) {
-      auto h = adapter.AcquireWrite({10, 15});
-      for (int s = 0; s < 256; ++s) {
-        CpuRelax();  // widen the insert-vs-validate race window
+      auto h = adapter.AcquireWrite({3, 4});
+      // Hold past the reader's deadline, so a reader validating against this writer
+      // gives up inside validation rather than outwaiting it.
+      const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(100);
+      while (std::chrono::steady_clock::now() < until) {
+        CpuRelax();
       }
       adapter.Release(h);
     }
@@ -298,11 +304,11 @@ TYPED_TEST(LockFuzzTest, TimedReaderLostRaceConservesPoolNodes) {
   };
   sweep();
   const int64_t baseline_sum = pool_balance() + worker_baseline.load();
-  auto x_anchor = adapter.AcquireRead({2, 4});
+  auto x_anchor = adapter.AcquireRead({1, 2});
   phase.store(2);
   while (phase.load() < 3) {
     typename TypeParam::Handle h{};
-    if (adapter.AcquireReadFor({0, 20}, std::chrono::microseconds(30), &h)) {
+    if (adapter.AcquireReadFor({0, 4}, std::chrono::microseconds(30), &h)) {
       adapter.Release(h);
     }
   }

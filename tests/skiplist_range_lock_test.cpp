@@ -1,12 +1,16 @@
 // Tests for the skiplist-indexed range lock: level-0 insertion-is-acquisition,
 // mark-bit release across index levels, helping snips with the links_remaining
-// retire countdown, NodePool conservation, and destructor collection of (possibly
-// partially snipped) marked residue. Exclusion and try/timed semantics are covered
-// by the shared conformance and fuzz batteries; this file pins down what is specific
-// to the skiplist index.
+// retire countdown, NodePool conservation, destructor collection of (possibly
+// partially snipped) marked residue, and the quality of the walk-earned index.
+// Exclusion and try/timed semantics are covered by the shared conformance and fuzz
+// batteries; this file pins down what is specific to the skiplist index.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <numeric>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -188,32 +192,87 @@ TEST(SkiplistRangeLockTest, ManyLiveRangesStress) {
   EXPECT_TRUE(ok.load()) << "invariant violated while threads churned";
   EXPECT_EQ(lock.DebugHeldCount(), 0u);
   EXPECT_TRUE(lock.DebugInvariantHolds());
+  // The churn only fuzzes the link/snip machinery if the searches earned index levels.
+  EXPECT_GE(lock.DebugTallestLevel(), 2);
 }
 
-// Destruction with marked residue, including partially snipped nodes: a later find
-// that stops short of a residue node's lower levels leaves links_remaining strictly
-// between 0 and top_level + 1. The destructor's per-level sweep must free each node
-// exactly once regardless (ASan backs the assertion).
+// Destruction with marked residue, including partially snipped nodes. A search that
+// steps past a held node at level l starts level l - 1 from it, so the released nodes
+// it snipped on level l before that holder stay linked below: their links_remaining
+// sits strictly between 0 and top_level + 1. The destructor's per-level sweep must
+// free each node exactly once regardless (ASan backs the assertion).
 TEST(SkiplistRangeLockTest, DestructorCollectsMarkedResidue) {
+  std::size_t partially_snipped = 0;
   for (int round = 0; round < 8; ++round) {
     SkiplistRangeLock lock;
     std::vector<SkiplistRangeLock::Handle> hs;
     for (uint64_t k = 0; k < 32; ++k) {
       hs.push_back(lock.Lock({k * 10, k * 10 + 5}));
     }
-    for (auto& h : hs) {
+    // Ascending acquisitions earn every fourth node level 1 and every sixteenth
+    // level 2 (see the file comment of skiplist_range_lock.h); the random height
+    // floor adds about two levels per round on top.
+    ASSERT_GE(lock.DebugTallestLevel(), 2);
+    // Release all but every eighth range; the holders (7, 15, 23, 31) are nodes with
+    // upper levels, so searches step past them there.
+    for (uint64_t k = 0; k < 32; ++k) {
+      if (k % 8 != 7) {
+        lock.Unlock(hs[k]);
+      }
+    }
+    // Two searches snip the residue on their paths. Absent floor draws, the one at
+    // 305 steps past 15 on level 2 and past 23 on level 1, so it snips 19 on level 1
+    // only and 24..30 fully; the one at 105 likewise leaves 3 linked on level 0 and
+    // retires 8..14. 0..2, 16..18 and 20..22 stay fully linked.
+    for (const uint64_t gap : {305, 105}) {
+      SkiplistRangeLock::Handle h = nullptr;
+      ASSERT_TRUE(lock.TryLock({gap, gap + 1}, &h));
       lock.Unlock(h);
     }
-    // Partial snipping: finds targeted at a few keys unlink those nodes at the
-    // levels on their search paths, leaving a mix of fully-linked, partially
-    // snipped, and fully retired residue for the destructor.
-    for (uint64_t k = 0; k < 32; k += 5) {
-      SkiplistRangeLock::Handle h = nullptr;
-      ASSERT_TRUE(lock.TryLock({k * 10, k * 10 + 5}, &h));
-      lock.Unlock(h);
+    // The random height floor can reshape a round's index; one round is enough.
+    partially_snipped += lock.DebugPartiallySnipped();
+    for (uint64_t k = 7; k < 32; k += 8) {
+      lock.Unlock(hs[k]);
     }
     EXPECT_EQ(lock.DebugHeldCount(), 0u);
   }  // destructor runs here
+  EXPECT_GT(partially_snipped, 0u);
+}
+
+// Index quality: with 4096 ranges held, a search for a key past all of them must stay
+// logarithmic whatever order the ranges were acquired in. Ascending acquisitions earn
+// their levels; descending ones land at the head, step past nothing and earn none, so
+// only the random height floor indexes them (a copy without it walks all 4096 nodes).
+TEST(SkiplistRangeLockTest, FarProbeStaysShortInEveryAcquisitionOrder) {
+  constexpr int kHeld = 4096;
+  constexpr uint64_t kStride = 16;
+  constexpr int kMaxSteps = 256;
+  for (const std::string order : {"asc", "desc", "shuffled"}) {
+    std::vector<int> slots(kHeld);
+    std::iota(slots.begin(), slots.end(), 0);
+    if (order == "desc") {
+      std::reverse(slots.begin(), slots.end());
+    } else if (order == "shuffled") {
+      std::mt19937 rng(42);
+      std::shuffle(slots.begin(), slots.end(), rng);
+    }
+    SkiplistRangeLock lock;
+    std::vector<SkiplistRangeLock::Handle> hs;
+    hs.reserve(slots.size());
+    for (int slot : slots) {
+      const uint64_t base = static_cast<uint64_t>(slot) * kStride;
+      hs.push_back(lock.Lock({base, base + kStride / 2}));
+    }
+    EXPECT_TRUE(lock.DebugInvariantHolds()) << order;
+    const int far = lock.DebugSearchSteps(kHeld * kStride);
+    const int mid = lock.DebugSearchSteps(kHeld / 2 * kStride + 1);
+    EXPECT_LE(far, kMaxSteps) << order << ": far-end probe walked " << far << " nodes";
+    EXPECT_LE(mid, kMaxSteps) << order << ": mid probe walked " << mid << " nodes";
+    for (auto h : hs) {
+      lock.Unlock(h);
+    }
+    EXPECT_EQ(lock.DebugHeldCount(), 0u);
+  }
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ import sys
 
 KEY_COLUMNS = {"variant", "threads", "readers", "lock", "segments", "pool", "list-len",
                "workload", "mode", "bench", "stripes", "stripe", "role", "cold-drop",
-               "gate", "mix"}
+               "gate", "mix", "held"}
 STDDEV_COLUMN = "rel-stddev%"
 
 
