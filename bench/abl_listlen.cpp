@@ -19,8 +19,12 @@
 //
 // Flags: --held=0,16,64,256,1024,4096  --orders=asc,desc,random  --secs=0.25
 //        --repeats=1  --csv  --json=BENCH_listlen.json
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <string>
@@ -98,37 +102,43 @@ bool AcquireOrder(const std::string& order, int held, std::vector<int>* out) {
   return true;
 }
 
+// Each repeat builds a fresh lock and acquires the held set before the timed window
+// opens, so only the probe loop is timed: the set-up is quadratic in the held count for
+// the list locks and would otherwise eat short windows whole.
 template <typename LockT>
 Summary RunOne(const std::vector<int>& order, double secs, int repeats) {
   const int held = static_cast<int>(order.size());
-  return MeasureThroughputRepeated(
-      1, secs, repeats, [&](int, std::atomic<bool>& stop) {
-        LockT adapter;
-        using Handle = decltype(adapter.Acquire(Range{0, 1}));
-        std::vector<Handle> handles;
-        handles.reserve(order.size());
-        for (int slot : order) {
-          const uint64_t base = static_cast<uint64_t>(slot) * kStride;
-          handles.push_back(adapter.Acquire({base, base + kStride / 2}));
-        }
-        // Probe in the gap after the last held range: greater than every held start
-        // (full linear scan for the list locks) yet inside the same window span, so
-        // list-lf cannot sidestep the search via an empty neighbouring bucket.
-        const uint64_t probe_start =
-            held == 0 ? kStride / 2
-                      : static_cast<uint64_t>(held) * kStride - kStride / 2;
-        const Range probe{probe_start, probe_start + kStride / 2};
-        uint64_t ops = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          auto h = adapter.Acquire(probe);
-          adapter.Release(h);
-          ++ops;
-        }
-        for (auto h : handles) {
-          adapter.Release(h);
-        }
-        return ops;
-      });
+  // Probe in the gap after the last held range: greater than every held start (full
+  // linear scan for the list locks) yet inside the same window span, so list-lf cannot
+  // sidestep the search via an empty neighbouring bucket.
+  const uint64_t probe_start =
+      held == 0 ? kStride / 2 : static_cast<uint64_t>(held) * kStride - kStride / 2;
+  const Range probe{probe_start, probe_start + kStride / 2};
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(repeats));
+  for (int r = 0; r < repeats; ++r) {
+    auto adapter = std::make_unique<LockT>();
+    using Handle = decltype(adapter->Acquire(Range{0, 1}));
+    std::vector<Handle> handles;
+    handles.reserve(order.size());
+    for (int slot : order) {
+      const uint64_t base = static_cast<uint64_t>(slot) * kStride;
+      handles.push_back(adapter->Acquire({base, base + kStride / 2}));
+    }
+    samples.push_back(MeasureThroughput(1, secs, [&](int, std::atomic<bool>& stop) {
+      uint64_t ops = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto h = adapter->Acquire(probe);
+        adapter->Release(h);
+        ++ops;
+      }
+      return ops;
+    }));
+    for (auto h : handles) {
+      adapter->Release(h);
+    }
+  }
+  return Summarize(samples);
 }
 
 bool RunPanel(const std::vector<int>& held_counts, const std::vector<std::string>& orders,
@@ -175,6 +185,17 @@ int main(int argc, char** argv) {
   const double secs = cli.GetDouble("--secs", 0.25);
   const int repeats = static_cast<int>(cli.GetInt("--repeats", 1));
   const bool csv = cli.GetBool("--csv");
+
+  // MeasureThroughput pins its one probe thread to the first allowed CPU; build the
+  // held sets on that CPU too, so the probe does not start by pulling every held node
+  // across from another core's cache.
+  const std::vector<int> cpus = srl::AllowedCpus();
+  if (!cpus.empty()) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpus.front(), &set);
+    pthread_setaffinity_np(pthread_self(), sizeof set, &set);  // refused: unpinned
+  }
 
   srl::BenchJson json("abl_listlen");
   if (!srl::RunPanel(held, orders, secs, repeats, csv, &json)) {

@@ -18,17 +18,14 @@
 //     the number of concurrent culls. Correctness never depends on the cap (the gated
 //     lock provides exclusion); the cap only shapes contention, so a bounded
 //     transient overshoot is the right trade against a hard cap's extra CAS loop.
-//   * Parking lists are per-NUMA-node two-list queues: a lock-free Treiber push stack,
-//     drained by a popper (serialized by a tiny per-shard spin lock, which makes pop
-//     ABA-free without generation counters) that detaches the whole stack and reverses
-//     it into an oldest-first batch. A culler prefers its own node's shard — the
-//     Compact NUMA-Aware Locks handoff policy: ownership circulates within a socket
-//     while remote waiters stay parked — but WITHIN a shard culls are strictly FIFO.
-//     The concurrency-restriction paper prefers LIFO (cache-warmest waiter next); that
-//     is safe for a mutex, where a parked thread holds nothing, but here gated waiters
-//     queue range-lock nodes that block later arrivals (FIFO admission), and a LIFO
-//     cull starves the oldest parker — the one the whole conflict chain depends on —
-//     forever (see PopWaiter).
+//   * The parking list is one two-list queue: a lock-free Treiber push stack, drained
+//     by a popper (serialized by a tiny spin lock, which makes pop ABA-free without
+//     generation counters) that detaches the whole stack and reverses it into an
+//     oldest-first batch, so culls are strictly FIFO. The concurrency-restriction
+//     paper prefers LIFO (cache-warmest waiter next); that is safe for a mutex, where
+//     a parked thread holds nothing, but here gated waiters queue range-lock nodes
+//     that block later arrivals (FIFO admission), and a LIFO cull starves the oldest
+//     parker — the one the whole conflict chain depends on — forever (see PopWaiter).
 //   * No lost wakeups, by a Dekker-style seq_cst pair. Parker: push waiter, increment
 //     `parked_count_` (seq_cst), re-read `active_` (seq_cst) and self-cull if a slot
 //     freed meanwhile. Exiter: decrement `active_` (seq_cst), read `parked_count_`
@@ -38,9 +35,9 @@
 //   * Trylock bypass: an Immediate deadline never parks — Enter admits over the cap
 //     and returns, so a trylock is never turned into a wait (the kernel-trylock rule).
 //     Timed waiters park politely but poll their own state word and abandon it at the
-//     deadline; an abandoned waiter node stays on its stack and is reaped by the next
+//     deadline; an abandoned waiter node stays on the queue and is reaped by the next
 //     popper (or the gate destructor).
-//   * Waiter nodes are heap-allocated and reference-counted (waiter + stack/claimer),
+//   * Waiter nodes are heap-allocated and reference-counted (waiter + queue/claimer),
 //     because a claimer must be free to notify a waiter that may already have woken
 //     spuriously and be about to return — the last reference frees the node, so the
 //     notify never touches freed memory.
@@ -61,7 +58,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -78,28 +74,19 @@ class AdmissionGate {
  public:
   // cap == 0 derives the cap from the machine: one active contender per CPU (>= 1).
   explicit AdmissionGate(uint32_t cap = 0)
-      : AdmissionGate(cap, Topology::Get().NodeCount()) {}
-
-  // Explicit parking-shard count, for tests and benches that exercise the multi-shard
-  // cull rotation on hosts whose real topology has a single node.
-  AdmissionGate(uint32_t cap, unsigned shard_count)
-      : cap_(cap != 0 ? cap : Topology::Get().CpuCount()),
-        shard_count_(shard_count != 0 ? shard_count : 1),
-        shards_(std::make_unique<Shard[]>(shard_count_)) {}
+      : cap_(cap != 0 ? cap : Topology::Get().CpuCount()) {}
 
   AdmissionGate(const AdmissionGate&) = delete;
   AdmissionGate& operator=(const AdmissionGate&) = delete;
 
-  // Reaps abandoned (timed-out) waiter nodes still sitting on the stacks. No waiter
+  // Reaps abandoned (timed-out) waiter nodes still sitting on the queue. No waiter
   // may still be parked — destroying a gate out from under sleeping threads is a
   // caller bug, same contract as destroying a locked mutex.
   ~AdmissionGate() {
-    for (unsigned s = 0; s < shard_count_; ++s) {
-      while (Waiter* w = PopWaiter(s)) {
-        assert(w->state.load(std::memory_order_relaxed) == kAbandoned &&
-               "waiter still parked at gate destruction");
-        DropRef(w);
-      }
+    while (Waiter* w = PopWaiter()) {
+      assert(w->state.load(std::memory_order_relaxed) == kAbandoned &&
+             "waiter still parked at gate destruction");
+      DropRef(w);
     }
   }
 
@@ -162,12 +149,11 @@ class AdmissionGate {
     return Park(deadline);
   }
 
-  // Releases an active slot; if waiters are parked, hands the slot to one of them
-  // (own-node stack first — the CNA preference).
+  // Releases an active slot; if waiters are parked, hands the slot to the oldest.
   void Exit() {
     active_.fetch_sub(1, std::memory_order_seq_cst);
     if (parked_count_.load(std::memory_order_seq_cst) > 0) {
-      CullOne(ShardOfCurrentThread());
+      CullOne();
     }
   }
 
@@ -201,18 +187,10 @@ class AdmissionGate {
 
   struct Waiter {
     std::atomic<uint32_t> state{kParked};
-    // Two logical owners: the waiting thread, and whoever holds the stack link (the
-    // stack itself, then the popper that removes it). Last reference frees.
+    // Two logical owners: the waiting thread, and whoever holds the queue link (the
+    // queue itself, then the popper that removes it). Last reference frees.
     std::atomic<int> refs{2};
     Waiter* next = nullptr;
-  };
-
-  struct alignas(kCacheLineSize) Shard {
-    std::atomic<Waiter*> top{nullptr};  // lock-free push side (newest first)
-    // Oldest-first batch, refilled by reversing a detached push stack. Guarded by
-    // pop_lock (atomic only so the destructor's reap loop can read it plainly).
-    std::atomic<Waiter*> fifo{nullptr};
-    SpinLock pop_lock;  // single popper per shard: makes pop ABA-free
   };
 
   static void DropRef(Waiter* w) {
@@ -221,43 +199,36 @@ class AdmissionGate {
     }
   }
 
-  unsigned ShardOfCurrentThread() const {
-    return shard_count_ == 1 ? 0 : Topology::Get().CurrentNode() % shard_count_;
-  }
-
-  void PushWaiter(unsigned s, Waiter* w) {
-    std::atomic<Waiter*>& top = shards_[s].top;
-    Waiter* t = top.load(std::memory_order_relaxed);
+  void PushWaiter(Waiter* w) {
+    Waiter* t = top_.load(std::memory_order_relaxed);
     Backoff backoff;
     for (;;) {
       w->next = t;
       // Release publishes w->next (and the waiter's initialized fields) to the
-      // popper, whose pop CAS reads top with acquire.
-      if (top.compare_exchange_weak(t, w, std::memory_order_release,
-                                    std::memory_order_relaxed)) {
+      // popper, whose detaching exchange reads top_ with acquire.
+      if (top_.compare_exchange_weak(t, w, std::memory_order_release,
+                                     std::memory_order_relaxed)) {
         return;
       }
       backoff.Spin();
     }
   }
 
-  // Pops the OLDEST parked waiter in the shard. Culls must be FIFO: under FIFO range
-  // admission a parked waiter's inserted node blocks every later arrival, so a LIFO
-  // cull order can starve the oldest waiter forever — the two most recent parkers
-  // ping-pong through the rotation slot (each cull pops the waiter the previous
-  // rotation just pushed) while the waiter the whole conflict chain depends on never
-  // surfaces. Push stays a lock-free Treiber stack; the popper — already serialized
-  // per shard by pop_lock — detaches the whole stack and reverses it into an
-  // oldest-first batch, draining that batch before detaching again. No lock-free
-  // empty fast path on purpose: a stale null read here would skip a cull with a
-  // waiter parked (a lost wakeup); the uncontended pop_lock is cheap and CullOne
-  // only runs on the Exit slow path.
-  Waiter* PopWaiter(unsigned s) {
-    Shard& sh = shards_[s];
-    std::lock_guard<SpinLock> g(sh.pop_lock);
-    Waiter* f = sh.fifo.load(std::memory_order_relaxed);
+  // Pops the OLDEST parked waiter. Culls must be FIFO: under FIFO range admission a
+  // parked waiter's inserted node blocks every later arrival, so a LIFO cull order
+  // can starve the oldest waiter forever — the two most recent parkers ping-pong
+  // through the rotation slot (each cull pops the waiter the previous rotation just
+  // pushed) while the waiter the whole conflict chain depends on never surfaces. Push
+  // stays a lock-free Treiber stack; the popper — serialized by pop_lock_ — detaches
+  // the whole stack and reverses it into an oldest-first batch, draining that batch
+  // before detaching again. No lock-free empty fast path on purpose: a stale null
+  // read here would skip a cull with a waiter parked (a lost wakeup); the uncontended
+  // pop_lock_ is cheap and CullOne only runs on the Exit slow path.
+  Waiter* PopWaiter() {
+    std::lock_guard<SpinLock> g(pop_lock_);
+    Waiter* f = fifo_.load(std::memory_order_relaxed);
     if (f == nullptr) {
-      Waiter* t = sh.top.exchange(nullptr, std::memory_order_acquire);
+      Waiter* t = top_.exchange(nullptr, std::memory_order_acquire);
       while (t != nullptr) {
         // t->next is stable: the node is detached, and a push never rewrites an
         // already-linked node's next pointer.
@@ -270,42 +241,36 @@ class AdmissionGate {
         return nullptr;
       }
     }
-    sh.fifo.store(f->next, std::memory_order_relaxed);
+    fifo_.store(f->next, std::memory_order_relaxed);
     return f;
   }
 
-  // Pops parked waiters — preferred shard first, then the others — until one is
-  // successfully claimed (its slot is transferred and it is woken) or the stacks are
-  // dry. Abandoned nodes encountered on the way are reaped. Returns whether a waiter
-  // was culled.
-  bool CullOne(unsigned preferred) {
-    for (unsigned i = 0; i < shard_count_; ++i) {
-      const unsigned s = (preferred + i) % shard_count_;
-      while (Waiter* w = PopWaiter(s)) {
-        uint32_t expected = kParked;
-        if (w->state.compare_exchange_strong(expected, kClaimed,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-          parked_count_.fetch_sub(1, std::memory_order_seq_cst);
-          // Transfer the slot on the waiter's behalf (see the soft-cap note above).
-          active_.fetch_add(1, std::memory_order_relaxed);
-          culls_.fetch_add(1, std::memory_order_relaxed);
-          total_culls_.fetch_add(1, std::memory_order_relaxed);
-          w->state.notify_one();
-          DropRef(w);
-          return true;
-        }
-        // Timed out while parked; reap and keep looking.
+  // Pops parked waiters until one is successfully claimed (its slot is transferred
+  // and it is woken) or the queue is dry. Abandoned nodes encountered on the way are
+  // reaped. Returns whether a waiter was culled.
+  bool CullOne() {
+    while (Waiter* w = PopWaiter()) {
+      uint32_t expected = kParked;
+      if (w->state.compare_exchange_strong(expected, kClaimed, std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+        parked_count_.fetch_sub(1, std::memory_order_seq_cst);
+        // Transfer the slot on the waiter's behalf (see the soft-cap note above).
+        active_.fetch_add(1, std::memory_order_relaxed);
+        culls_.fetch_add(1, std::memory_order_relaxed);
+        total_culls_.fetch_add(1, std::memory_order_relaxed);
+        w->state.notify_one();
         DropRef(w);
+        return true;
       }
+      // Timed out while parked; reap and keep looking.
+      DropRef(w);
     }
     return false;
   }
 
   bool Park(const Deadline& deadline) {
-    const unsigned shard = ShardOfCurrentThread();
     Waiter* w = new Waiter;
-    PushWaiter(shard, w);
+    PushWaiter(w);
     parked_count_.fetch_add(1, std::memory_order_seq_cst);
     parks_.fetch_add(1, std::memory_order_relaxed);
     total_parks_.fetch_add(1, std::memory_order_relaxed);
@@ -314,7 +279,7 @@ class AdmissionGate {
     // parked_count == 0 and culled nobody — so cull on its behalf (possibly waking
     // ourselves). The seq_cst ordering guarantees at least one side acts.
     if (active_.load(std::memory_order_seq_cst) < cap_) {
-      CullOne(shard);
+      CullOne();
     }
     if (deadline.IsInfinite()) {
       uint32_t s;
@@ -340,7 +305,7 @@ class AdmissionGate {
                                              std::memory_order_acquire)) {
           parked_count_.fetch_sub(1, std::memory_order_seq_cst);
           timeouts_.fetch_add(1, std::memory_order_relaxed);
-          DropRef(w);  // the stack's popper (or the destructor) frees the node
+          DropRef(w);  // the queue's popper (or the destructor) frees the node
           return false;
         }
         // Claimed in the expiry window: the slot is ours after all.
@@ -355,13 +320,17 @@ class AdmissionGate {
   static std::atomic<uint64_t> total_culls_;
 
   const uint32_t cap_;
-  const unsigned shard_count_;
   std::atomic<uint32_t> active_{0};
   std::atomic<uint32_t> parked_count_{0};
   std::atomic<uint64_t> parks_{0};
   std::atomic<uint64_t> culls_{0};
   std::atomic<uint64_t> timeouts_{0};
-  const std::unique_ptr<Shard[]> shards_;
+  // The parking queue, on its own line away from the hot active_/parked_count_ pair.
+  alignas(kCacheLineSize) std::atomic<Waiter*> top_{nullptr};  // push side, newest first
+  // Oldest-first batch, refilled by reversing a detached push stack. Guarded by
+  // pop_lock_ (atomic only so the destructor's reap loop can read it plainly).
+  std::atomic<Waiter*> fifo_{nullptr};
+  SpinLock pop_lock_;  // single popper: makes pop ABA-free
 };
 
 inline std::atomic<bool> AdmissionGate::globally_enabled_{true};

@@ -1,10 +1,8 @@
 #include "src/sync/topology.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #if defined(__linux__)
@@ -15,112 +13,17 @@ namespace srl {
 
 std::atomic<bool> Topology::forced_single_core_{false};
 
-namespace {
-
-// Parses a sysfs cpulist ("0-3,8,10-11") and marks the listed CPUs with `node` in
-// `node_of_cpu`, growing the vector as needed. Returns true if at least one CPU was
-// assigned. Malformed input assigns nothing — the caller's all-node-0 fallback holds.
-bool AssignCpulist(const std::string& cpulist, unsigned node,
-                   std::vector<unsigned>* node_of_cpu) {
-  bool any = false;
-  const char* p = cpulist.c_str();
-  while (*p != '\0' && *p != '\n') {
-    char* end = nullptr;
-    const unsigned long first = std::strtoul(p, &end, 10);
-    if (end == p) {
-      break;
-    }
-    unsigned long last = first;
-    p = end;
-    if (*p == '-') {
-      last = std::strtoul(p + 1, &end, 10);
-      if (end == p + 1) {
-        break;
-      }
-      p = end;
-    }
-    if (last < first || last > 4096) {
-      break;  // implausible range: treat the whole list as malformed
-    }
-    if (node_of_cpu->size() <= last) {
-      node_of_cpu->resize(last + 1, 0);
-    }
-    for (unsigned long c = first; c <= last; ++c) {
-      (*node_of_cpu)[c] = node;
-      any = true;
-    }
-    if (*p == ',') {
-      ++p;
-    }
-  }
-  return any;
-}
-
-// Reads /sys/devices/system/node/node<N>/cpulist for consecutive N. Returns the number
-// of nodes found (0 when sysfs is absent or masked).
-unsigned ProbeSysfsNodes(std::vector<unsigned>* node_of_cpu) {
-  unsigned nodes = 0;
-  for (unsigned n = 0; n < 256; ++n) {
-    char path[96];
-    std::snprintf(path, sizeof path, "/sys/devices/system/node/node%u/cpulist", n);
-    std::FILE* f = std::fopen(path, "r");
-    if (f == nullptr) {
-      break;  // node directories are consecutive; the first gap ends the probe
-    }
-    char buf[512];
-    const bool read_ok = std::fgets(buf, sizeof buf, f) != nullptr;
-    std::fclose(f);
-    if (read_ok && AssignCpulist(buf, n, node_of_cpu)) {
-      nodes = n + 1;
-    }
-  }
-  return nodes;
-}
-
-}  // namespace
-
 Topology::Topology() {
   const unsigned hw = std::thread::hardware_concurrency();
   cpu_count_ = hw == 0 ? 1 : hw;
-  node_of_cpu_.assign(cpu_count_, 0);
-  const unsigned probed = ProbeSysfsNodes(&node_of_cpu_);
-  if (probed == 0) {
-    // No usable node map (non-Linux, masked sysfs): one node holding every CPU.
-    node_of_cpu_.assign(cpu_count_, 0);
-    node_count_ = 1;
-  } else {
-    // sysfs may describe more CPUs than hardware_concurrency admits (offline CPUs,
-    // affinity masks); keep the larger map so NodeOfCpu answers for any id
-    // sched_getcpu can return.
-    node_count_ = probed;
-    if (node_of_cpu_.size() < cpu_count_) {
-      node_of_cpu_.resize(cpu_count_, 0);
-    }
+  // Node directories are consecutive; the first gap ends the count.
+  unsigned nodes = 0;
+  std::error_code ec;
+  while (std::filesystem::is_directory(
+      "/sys/devices/system/node/node" + std::to_string(nodes), ec)) {
+    ++nodes;
   }
-  BuildPackedIndex();
-}
-
-Topology::Topology(unsigned cpu_count, std::vector<unsigned> node_of_cpu)
-    : cpu_count_(cpu_count == 0 ? 1 : cpu_count), node_of_cpu_(std::move(node_of_cpu)) {
-  if (node_of_cpu_.size() < cpu_count_) {
-    node_of_cpu_.resize(cpu_count_, 0);
-  }
-  node_count_ = 1 + *std::max_element(node_of_cpu_.begin(), node_of_cpu_.end());
-  BuildPackedIndex();
-}
-
-void Topology::BuildPackedIndex() {
-  // Stable-sort CPU ids by node: the packed index of a CPU is its rank in (node, id)
-  // order. O(cpus * nodes) is fine for a once-per-process probe.
-  packed_index_.assign(node_of_cpu_.size(), 0);
-  unsigned next = 0;
-  for (unsigned node = 0; node < node_count_; ++node) {
-    for (unsigned cpu = 0; cpu < node_of_cpu_.size(); ++cpu) {
-      if (node_of_cpu_[cpu] == node) {
-        packed_index_[cpu] = next++;
-      }
-    }
-  }
+  node_count_ = nodes == 0 ? 1 : nodes;
 }
 
 const Topology& Topology::Get() {

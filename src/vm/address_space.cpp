@@ -135,31 +135,22 @@ AddressSpace::AddressSpace(VmVariant variant, unsigned stripes)
 AddressSpace::~AddressSpace() = default;
 
 unsigned AddressSpace::HomeStripe() const {
-  // Topology-aware home-stripe assignment: a thread's home stripe follows the CPU it
-  // first ran this code on, enumerated in node-grouped order (Topology::PackedIndexOf),
-  // so (a) threads on the same core share a stripe instead of bouncing its cache lines
-  // to wherever registration order scattered them, and (b) with stripes >= cores,
-  // co-located CPUs of one NUMA node map to a contiguous stripe block — the stripe's
-  // heads and cursor stay node-local. The CPU is sampled once per thread (stripes must
-  // be stable per thread for the VMA-locality contract), so later migration does not
-  // re-home the thread — same trade-off the kernel makes for per-CPU-ish structures
-  // accessed without preemption protection.
+  // A thread's home stripe is the stripe of the CPU it first ran this code on, so
+  // threads on the same core share a stripe instead of bouncing its cache lines to
+  // wherever registration order scattered them. The CPU is sampled once per thread
+  // (stripes must be stable per thread for the VMA-locality contract), so later
+  // migration does not re-home the thread — same trade-off the kernel makes for
+  // per-CPU-ish structures accessed without preemption protection.
   //
   // Single-core hosts (or platforms without sched_getcpu) keep the old deterministic
   // registration-order policy: every thread would otherwise collapse onto stripe 0,
   // and the round-robin spread is what the stripe tests and single-core benches rely
   // on. vm_stripe_test pins this fallback via Topology::TestOnlyForceSingleCore.
   static std::atomic<uint64_t> next_token{0};
-  const Topology& topo = Topology::Get();
-  if (!topo.SingleCore()) {
-    thread_local int packed = [] {
-      const int cpu = Topology::CurrentCpu();
-      return cpu >= 0 ? static_cast<int>(Topology::Get().PackedIndexOf(
-                            static_cast<unsigned>(cpu)))
-                      : -1;
-    }();
-    if (packed >= 0) {
-      return static_cast<unsigned>(packed) & (stripes_ - 1);
+  if (!Topology::Get().SingleCore()) {
+    thread_local int cpu = Topology::CurrentCpu();
+    if (cpu >= 0) {
+      return static_cast<unsigned>(cpu) & (stripes_ - 1);
     }
   }
   thread_local uint64_t token = next_token.fetch_add(1, std::memory_order_relaxed);

@@ -203,9 +203,8 @@ class AddressSpace {
   unsigned Stripes() const { return stripes_; }
   unsigned StripeOf(uint64_t addr) const { return index_.IndexOf(addr); }
   // The calling thread's home stripe (stable per thread for this space's stripe
-  // count). Multicore hosts assign it from the CPU the thread first ran on, in
-  // node-grouped enumeration order (see Topology); single-core hosts fall back to
-  // deterministic registration-order round-robin.
+  // count). Multicore hosts assign it from the id of the CPU the thread first ran on;
+  // single-core hosts fall back to deterministic registration-order round-robin.
   unsigned HomeStripe() const;
 
   // --- Introspection (each takes the full write lock; safe any time) ---

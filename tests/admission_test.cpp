@@ -24,60 +24,18 @@ namespace {
 
 // --- Topology probe ---
 
-TEST(TopologyTest, SyntheticTwoNodeMap) {
-  const Topology topo(8, {0, 0, 0, 0, 1, 1, 1, 1});
-  EXPECT_EQ(topo.CpuCount(), 8u);
-  EXPECT_EQ(topo.NodeCount(), 2u);
-  EXPECT_FALSE(topo.SingleCore());
-  for (unsigned cpu = 0; cpu < 8; ++cpu) {
-    EXPECT_EQ(topo.NodeOfCpu(cpu), cpu / 4);
-    // Node-grouped enumeration: node 0's CPUs rank 0..3, node 1's rank 4..7, so
-    // same-node CPUs map to adjacent packed indices (the stripe-locality property
-    // AddressSpace::HomeStripe relies on).
-    EXPECT_EQ(topo.PackedIndexOf(cpu), cpu);
-  }
-  // Out-of-range CPUs fold to node 0 rather than crashing.
-  EXPECT_EQ(topo.NodeOfCpu(99), 0u);
-}
-
-TEST(TopologyTest, SyntheticInterleavedNodesPackContiguously) {
-  // CPU ids alternate nodes (a common BIOS enumeration); the packed index must still
-  // group each node's CPUs contiguously.
-  const Topology topo(4, {0, 1, 0, 1});
-  EXPECT_EQ(topo.NodeCount(), 2u);
-  EXPECT_EQ(topo.PackedIndexOf(0), 0u);
-  EXPECT_EQ(topo.PackedIndexOf(2), 1u);
-  EXPECT_EQ(topo.PackedIndexOf(1), 2u);
-  EXPECT_EQ(topo.PackedIndexOf(3), 3u);
-}
-
 TEST(TopologyTest, RealProbeIsSane) {
   const Topology& topo = Topology::Get();
   EXPECT_GE(topo.CpuCount(), 1u);
   EXPECT_GE(topo.NodeCount(), 1u);
   EXPECT_LE(topo.NodeCount(), topo.CpuCount());
-  // PackedIndexOf is a bijection over [0, CpuCount).
-  std::vector<bool> seen(topo.CpuCount(), false);
-  for (unsigned cpu = 0; cpu < topo.CpuCount(); ++cpu) {
-    const unsigned p = topo.PackedIndexOf(cpu);
-    ASSERT_LT(p, topo.CpuCount());
-    EXPECT_FALSE(seen[p]) << "packed index " << p << " assigned twice";
-    seen[p] = true;
-    EXPECT_LT(topo.NodeOfCpu(cpu), topo.NodeCount());
-  }
-  // CurrentNode is always a valid shard index, with or without sched_getcpu.
-  EXPECT_LT(topo.CurrentNode(), topo.NodeCount());
 }
 
 TEST(TopologyTest, ForceSingleCoreOverridesProbe) {
   Topology::TestOnlyForceSingleCore(true);
   EXPECT_TRUE(Topology::Get().SingleCore());
   Topology::TestOnlyForceSingleCore(false);
-  const Topology synthetic(4, {0, 0, 1, 1});
-  EXPECT_FALSE(synthetic.SingleCore());
-  Topology::TestOnlyForceSingleCore(true);
-  EXPECT_TRUE(synthetic.SingleCore()) << "the force flag must override any instance";
-  Topology::TestOnlyForceSingleCore(false);
+  EXPECT_EQ(Topology::Get().SingleCore(), Topology::Get().CpuCount() <= 1);
 }
 
 // --- AdmissionGate ---
@@ -220,35 +178,13 @@ TEST(AdmissionGateTest, ReleaseVsParkRaceHammer) {
   EXPECT_EQ(gate.Culls(), gate.Parks() - gate.Timeouts());
 }
 
-// Same hammer across multiple parking shards (a synthetic 4-node layout on whatever
-// host): cull rotation must drain every shard, not just the culler's own.
-TEST(AdmissionGateTest, MultiShardHammerDrainsAllShards) {
-  constexpr int kThreads = 4;
-  constexpr int kIters = 1000;
-  AdmissionGate gate(1, /*shard_count=*/4);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        ASSERT_TRUE(gate.Enter(Deadline::Infinite()));
-        gate.Exit();
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(gate.Active(), 0u);
-  EXPECT_FALSE(gate.HasParked());
-}
-
 // Timed parks racing infinite parks and exits: expired waiters must abandon cleanly
 // (their nodes reaped by later cullers or the destructor) without eating a cull that
 // an infinite waiter needed.
 TEST(AdmissionGateTest, TimedAndInfiniteWaitersMixedHammer) {
   constexpr int kThreads = 4;
   constexpr int kIters = 300;
-  AdmissionGate gate(1, /*shard_count=*/2);
+  AdmissionGate gate(1);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {

@@ -2,6 +2,10 @@
 // policy, overflow-to-neighbour allocation, the no-straddle invariant at window edges,
 // cross-stripe classification to the full-range path, and the per-stripe counter
 // isolation claim (churn in stripe A causes no speculative-fault retries in stripe B).
+#include <pthread.h>
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -11,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/prng.h"
+#include "src/harness/throughput_runner.h"
 #include "src/sync/topology.h"
 #include "src/vm/address_space.h"
 
@@ -101,6 +106,47 @@ TEST(VmStripeTest, SingleCoreFallbackIsStablePerThread) {
     EXPECT_EQ(homes[i], (homes[i - 1] + 1) % 4)
         << "single-core fallback is not registration-order round-robin";
   }
+}
+
+// Pins the multicore policy: a thread's home stripe is the id of the CPU it first ran
+// on, masked to the stripe count. The value is cached per thread, so each probe thread
+// is pinned before its first HomeStripe() call.
+TEST(VmStripeTest, HomeStripeFollowsCpu) {
+  if (Topology::Get().SingleCore()) {
+    GTEST_SKIP() << "single-core host: the registration-order fallback applies";
+  }
+  AddressSpace as(VmVariant::kListScoped, 4);
+  const unsigned stripes = as.Stripes();
+  std::vector<int> cpus = AllowedCpus();
+  if (cpus.size() < 2) {
+    GTEST_SKIP() << "needs at least 2 allowed CPUs, have " << cpus.size();
+  }
+  if (cpus.size() > stripes) {
+    cpus.resize(stripes);
+  }
+  // Descending, so registration-order homing (consecutive tokens) cannot pass by luck.
+  std::reverse(cpus.begin(), cpus.end());
+  for (const int cpu : cpus) {
+    bool pinned = false;
+    std::thread([&] {
+      cpu_set_t set;
+      CPU_ZERO(&set);
+      CPU_SET(cpu, &set);
+      if (pthread_setaffinity_np(pthread_self(), sizeof set, &set) != 0) {
+        return;
+      }
+      pinned = true;
+      const unsigned home = as.HomeStripe();
+      EXPECT_EQ(home, static_cast<unsigned>(cpu) & (stripes - 1)) << "cpu " << cpu;
+      const uint64_t addr = as.Mmap(2 * kPage, kProtRead);
+      ASSERT_NE(addr, 0u);
+      EXPECT_EQ(as.StripeOf(addr), home) << "cpu " << cpu;
+    }).join();
+    if (!pinned) {
+      GTEST_SKIP() << "pinning to cpu " << cpu << " was refused";
+    }
+  }
+  EXPECT_TRUE(as.CheckInvariants());
 }
 
 TEST(VmStripeTest, ExhaustedWindowOverflowsToNeighbour) {

@@ -85,8 +85,15 @@ run_config() {
     ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" -L unit
   elif [[ "$config" == thread ]]; then
     # Sanitizers must abort the test process on any finding, not just log it.
-    TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+    local tsan_options="halt_on_error=1 second_deadlock_stack=1"
+    TSAN_OPTIONS="$tsan_options" \
       ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" -R "$SANITIZED_TESTS"
+    # Real-core repeats of the gate hammers: one TSan pass per push rarely lands the
+    # interleavings the admission Dekker park/exit pair exists for; twenty give each
+    # hammer that many more schedules on the host's real cores.
+    echo "=== [$config] admission hammer repeats ==="
+    TSAN_OPTIONS="$tsan_options" "$build_dir/tests/admission_test" \
+      --gtest_filter='AdmissionGate*:AdmissionSpinner*' --gtest_repeat=20
   else
     # ASan+UBSan: unit tier only (-LE stress); see the header comment.
     ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
